@@ -123,11 +123,12 @@ class ExperimentConfig:
             "min_pairs_per_bin": self.min_pairs_per_bin,
             "tomo_cutoff": self.tomo_cutoff,
             "tomo_n_bins": self.tomo_n_bins,
-            "bootstrap_reps": self.bootstrap_reps,
         }
         for name, value in positive.items():
             if not value > 0:
                 raise OutOfRange(f"{name} must be positive, got {value}")
+        if self.bootstrap_reps < 2:
+            raise OutOfRange(f"bootstrap_reps must be at least 2, got {self.bootstrap_reps}")
         if not (0.0 <= self.eta <= 1.0):
             raise OutOfRange(f"eta must lie in [0, 1], got {self.eta}")
         if self.dead_time_ns < 0.0:

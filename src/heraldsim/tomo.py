@@ -5,27 +5,33 @@ the probability of a quadrature outcome in bin j given n photons is
 
     Pi[n][j] = integral over bin j of |psi_n(x)|**2 dx,
 
-independent of the local-oscillator phase.  ``ml_diagonal`` runs the
-expectation-maximization fixed point
+independent of the local-oscillator phase.  One histogram kernel, ``_em``,
+runs the expectation-maximization fixed point
 
     P_n  <-  P_n * (1/J) * sum_j  hist_j * Pi[n][j] / p_j,
     p_j = sum_n P_n * Pi[n][j],
 
-whose log-likelihood is non-decreasing.  ``ml_full`` keeps the phases and
-iterates R(rho) rho R(rho) with trace renormalization, reconstructing the
-full density matrix (coherences included).
+from the uniform start on a (B, n_bins) batch of histograms at once.  Its
+log-likelihood is non-decreasing, and the kernel checks that on every row.
+Each row stops on its own relative log-likelihood change; a stopped row
+leaves the batch, so its result is the one a single-row run would give.
+``ml_diagonal`` runs the kernel on the data histogram, ``bootstrap_stderr``
+on all multinomial resamples of it together.  ``ml_full`` keeps the phases
+and iterates R(rho) rho R(rho) with trace renormalization, reconstructing
+the full density matrix (coherences included).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytic import PhotonDistribution
-from .errors import CutoffExceeded, EmptyInput, OutOfRange
+from .errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
 from .homodyne import X_MAX, hermite_function
 
 # Gauss-Legendre order per bin; exact to machine precision for the smooth
@@ -114,9 +120,103 @@ class MLResult:
 
 
 def _bin_samples(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
     clipped = np.clip(x, edges[0], edges[-1] - 1e-12)
     idx = np.searchsorted(edges, clipped, side="right") - 1
     return np.bincount(idx, minlength=edges.size - 1).astype(float)
+
+
+def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bin the x column of ``samples`` (1-d x or (N, 2) rows of (x, theta));
+    returns the histogram and the POVM elements of its binning."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 2:
+        x = x[:, 0]
+    if x.size == 0:
+        raise EmptyInput("no quadrature samples")
+    povm = build_povm(config.cutoff, config.n_bins)
+    return _bin_samples(x, povm.edges), povm.elements
+
+
+def _em(
+    hist: np.ndarray, pi: np.ndarray, config: MLConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """EM on each row of a (B, n_bins) histogram batch against POVM ``pi``.
+
+    Every row starts uniform and stops when its relative log-likelihood
+    change drops below ``config.tol``, or at ``config.max_iters``.  A
+    stopped row leaves the batch; the arrays are compacted only on the
+    iterations where some row stops.  The batch is kept as a stack of
+    single rows, so each row gets the BLAS calls a loop over that row alone
+    makes, and the same probabilities bit for bit.  Only the log-likelihood
+    of a row with fewer occupied bins than the batch may differ in the last
+    bits, as it sums over the batch's occupied bins.
+
+    Returns per row: probabilities (B, cutoff+1), final log-likelihood,
+    iterations, converged flags, and the log-likelihood history (one value
+    per iteration plus the final one).  Raises InvalidDensity if any row's
+    log-likelihood falls, which EM rules out.
+    """
+    n_rows, dim = hist.shape[0], pi.shape[0]
+    pi_t, tol, max_iters = pi.T, config.tol, config.max_iters
+    occupied = np.flatnonzero(hist.any(axis=0))
+    probs_out = np.empty((n_rows, dim))
+    ll_out = np.empty(n_rows)
+    iters_out = np.empty(n_rows, dtype=int)
+    converged_out = np.zeros(n_rows, dtype=bool)
+    history_out: list[np.ndarray] = [np.empty(0)] * n_rows
+    # the active rows, each a (1, .) matrix: original index, histogram, its
+    # occupied bins, count, estimate and log-likelihoods so far
+    rows = np.arange(n_rows)
+    h = hist[:, None, :]
+    h_occ = h.take(occupied, axis=2)
+    total = np.add.reduce(h, axis=2, keepdims=True)
+    probs = np.full((n_rows, 1, dim), 1.0 / dim)
+    trails = [array("d") for _ in range(n_rows)]
+
+    def log_likelihood(p: np.ndarray, h_occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p_bin = np.matmul(p, pi)
+        np.maximum(p_bin, 1e-300, out=p_bin)
+        return np.vecdot(h_occupied, np.log(p_bin.take(occupied, axis=2)))[:, 0], p_bin
+
+    for it in range(1, max_iters + 1):
+        ll, p_bin = log_likelihood(probs, h_occ)
+        probs = probs * np.matmul(h / p_bin, pi_t) / total
+        np.maximum(probs, 0.0, out=probs)
+        probs /= np.add.reduce(probs, axis=2, keepdims=True)
+        # scalar tests per row cost less than array operations on B values
+        stop = []
+        for k, (trail, value) in enumerate(zip(trails, ll.tolist())):
+            if trail:
+                prev = trail[-1]
+                if value < prev - 1e-9 * max(1.0, abs(prev)):
+                    raise InvalidDensity(
+                        f"EM log-likelihood fell from {prev!r} to {value!r} "
+                        f"(row {rows[k]}, iteration {it})"
+                    )
+                if abs(value - prev) <= tol * abs(prev):
+                    stop.append(k)
+            trail.append(value)
+        if not stop and it < max_iters:
+            continue
+        leave = np.full(rows.size, it == max_iters)
+        leave[stop] = True
+        converged_out[rows[stop]] = True
+        done = rows[leave]
+        final_ll, _ = log_likelihood(probs[leave], h_occ[leave])
+        for k, r, value in zip(np.flatnonzero(leave), done, final_ll.tolist()):
+            trails[k].append(value)
+            history_out[r] = np.array(trails[k])
+        probs_out[done] = probs[leave, 0]
+        ll_out[done] = final_ll
+        iters_out[done] = it
+        keep = ~leave
+        if not keep.any():
+            break
+        rows, h, h_occ, total, probs = rows[keep], h[keep], h_occ[keep], total[keep], probs[keep]
+        trails = [trail for trail, kept in zip(trails, keep.tolist()) if kept]
+    return probs_out, ll_out, iters_out, converged_out, history_out
 
 
 def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
@@ -127,50 +227,23 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
     are ignored.  Stops when the relative log-likelihood gain drops below
     ``config.tol``; the result carries a ``converged`` flag (no exception
     on hitting the iteration budget: the best iterate is returned).
+    Non-finite samples raise OutOfRange.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 2:
-        x = x[:, 0]
-    if x.size == 0:
-        raise EmptyInput("no quadrature samples")
-    if x.size < 1000:
+    hist, pi = _histogram(samples, config)
+    n_samples = int(hist.sum())
+    if n_samples < 1000:
         warnings.warn(
-            f"only {x.size} samples; estimates below ~1e3 samples are noisy",
+            f"only {n_samples} samples; estimates below ~1e3 samples are noisy",
             stacklevel=2,
         )
-    povm = build_povm(config.cutoff, config.n_bins)
-    hist = _bin_samples(x, povm.edges)
-    total = hist.sum()
-    pi = povm.elements  # (cutoff+1, n_bins)
-    probs = np.full(config.cutoff + 1, 1.0 / (config.cutoff + 1))
-    ll_prev = -np.inf
-    history = []
-    converged = False
-    iters = 0
-    occupied = hist > 0
-    for iters in range(1, config.max_iters + 1):
-        p_bin = probs @ pi
-        p_bin = np.maximum(p_bin, 1e-300)
-        ll = float(hist[occupied] @ np.log(p_bin[occupied]))
-        assert ll >= ll_prev - 1e-9 * max(1.0, abs(ll_prev))  # EM monotone
-        history.append(ll)
-        weights = pi @ (hist / p_bin)
-        probs = probs * weights / total
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        if ll_prev != -np.inf and abs(ll - ll_prev) <= config.tol * abs(ll_prev):
-            converged = True
-            break
-        ll_prev = ll
-    p_bin = np.maximum(probs @ pi, 1e-300)
-    history.append(float(hist[occupied] @ np.log(p_bin[occupied])))
+    probs, ll, iters, converged, history = _em(hist[None, :], pi, config)
     return MLResult(
-        probs=probs,
-        log_likelihood=history[-1],
-        iterations=iters,
-        converged=converged,
+        probs=probs[0],
+        log_likelihood=float(ll[0]),
+        iterations=int(iters[0]),
+        converged=bool(converged[0]),
         cutoff=config.cutoff,
-        ll_history=np.array(history),
+        ll_history=history[0],
     )
 
 
@@ -237,38 +310,17 @@ def bootstrap_stderr(
     rng_seed: int = 0,
 ) -> np.ndarray:
     """Standard error of the EM probabilities by multinomial resampling of
-    the binned histogram (cheap: EM reruns on resampled histograms)."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 2:
-        x = x[:, 0]
-    if x.size == 0:
-        raise EmptyInput("no quadrature samples")
-    povm = build_povm(config.cutoff, config.n_bins)
-    hist = _bin_samples(x, povm.edges)
+    the binned histogram (cheap: one batched EM over all resampled
+    histograms).  Needs ``n_boot`` >= 2 for the ddof=1 spread."""
+    if n_boot < 2:
+        raise OutOfRange(f"bootstrap needs at least 2 replicates, got {n_boot}")
+    hist, pi = _histogram(samples, config)
     total = int(hist.sum())
     rng = np.random.default_rng(rng_seed)
-    reps = np.empty((n_boot, config.cutoff + 1))
-    for b in range(n_boot):
-        resampled = rng.multinomial(total, hist / total).astype(float)
-        reps[b] = _em_on_histogram(resampled, povm.elements, config)
+    # one call draws the same stream as n_boot single draws
+    resampled = rng.multinomial(total, hist / total, size=n_boot).astype(float)
+    reps = _em(resampled, pi, config)[0]
     return reps.std(axis=0, ddof=1)
-
-
-def _em_on_histogram(hist: np.ndarray, pi: np.ndarray, config: MLConfig) -> np.ndarray:
-    probs = np.full(config.cutoff + 1, 1.0 / (config.cutoff + 1))
-    total = hist.sum()
-    ll_prev = -np.inf
-    occupied = hist > 0
-    for _ in range(config.max_iters):
-        p_bin = np.maximum(probs @ pi, 1e-300)
-        ll = float(hist[occupied] @ np.log(p_bin[occupied]))
-        probs = probs * (pi @ (hist / p_bin)) / total
-        probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
-        if ll_prev != -np.inf and abs(ll - ll_prev) <= config.tol * abs(ll_prev):
-            break
-        ll_prev = ll
-    return probs
 
 
 def fock_fidelity(dist: PhotonDistribution, n: int) -> float:

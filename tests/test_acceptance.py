@@ -57,8 +57,9 @@ from conftest import ETA, GAMMA, herald_times
 DEFAULT = ExperimentConfig()
 
 # pytest captures file descriptor 1 itself, so a plain print surfaces only
-# for failing tests; the terminal writer keeps the pre-capture stream and
-# lets every verdict reach the live log
+# for failing tests; the terminal writer keeps the pre-capture stream, but
+# pytest still shows a passing test's verdict line only under -s or -rA
+# (README "Testing")
 _VERDICT = {"write": None}
 
 

@@ -109,6 +109,8 @@ class TestConfig:
             ExperimentConfig(delays_ns=())
         with pytest.raises(OutOfRange):
             ExperimentConfig(dead_time_ns=-1.0)
+        with pytest.raises(OutOfRange, match="bootstrap_reps"):
+            ExperimentConfig(bootstrap_reps=1)
 
     def test_grid(self):
         grid = ExperimentConfig().grid()
@@ -380,6 +382,30 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "OutOfRange"
+
+    @staticmethod
+    def single_error(capsys):
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    def test_single_bootstrap_rep_error_json(self, tmp_path, capsys):
+        csv = write_sample_csv(tmp_path / "samples.csv", count=2000)
+        path = tmp_path / "config.json"
+        path.write_text('{"bootstrap_reps": 1}')
+        rc = main(["reconstruct", str(csv), "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "bootstrap_reps" in err["message"]
+
+    def test_non_finite_sample_error_json(self, tmp_path, capsys):
+        csv = write_sample_csv(tmp_path / "samples.csv", count=2000)
+        with open(csv, "a") as fh:
+            fh.write("nan,0.5\n")
+        rc = main(["reconstruct", str(csv), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "not finite" in err["message"]
 
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"

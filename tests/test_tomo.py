@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from heraldsim.analytic import PhotonDistribution
-from heraldsim.errors import CutoffExceeded, EmptyInput, OutOfRange
+from heraldsim.errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
 from heraldsim.homodyne import X_MAX, sample_quadratures
 from heraldsim.tomo import (
     MLConfig,
+    _em,
+    _histogram,
     bootstrap_stderr,
     build_povm,
     fock_fidelity,
@@ -27,6 +29,33 @@ LOSSY_TWO_PHOTON = np.array([0.0576, 0.3648, 0.5776])
 def draws(probs, count, seed):
     rho = np.diag(np.asarray(probs, dtype=float)).astype(complex)
     return sample_quadratures(rho, count, rng_seed=seed)
+
+
+def reference_em(hist, pi, config):
+    """EM on one histogram as a plain loop: the per-row reference that the
+    batched kernel ``_em`` must reproduce.  Returns (probs, final
+    log-likelihood, iterations, converged, log-likelihood history)."""
+    probs = np.full(config.cutoff + 1, 1.0 / (config.cutoff + 1))
+    total = hist.sum()
+    ll_prev = -np.inf
+    history = []
+    converged = False
+    iters = 0
+    occupied = hist > 0
+    for iters in range(1, config.max_iters + 1):
+        p_bin = np.maximum(probs @ pi, 1e-300)
+        ll = float(hist[occupied] @ np.log(p_bin[occupied]))
+        history.append(ll)
+        probs = probs * (pi @ (hist / p_bin)) / total
+        probs = np.clip(probs, 0.0, None)
+        probs /= probs.sum()
+        if ll_prev != -np.inf and abs(ll - ll_prev) <= config.tol * abs(ll_prev):
+            converged = True
+            break
+        ll_prev = ll
+    p_bin = np.maximum(probs @ pi, 1e-300)
+    history.append(float(hist[occupied] @ np.log(p_bin[occupied])))
+    return probs, history[-1], iters, converged, np.array(history)
 
 
 class TestBuildPovm:
@@ -129,11 +158,74 @@ class TestMlDiagonal:
         with pytest.raises(EmptyInput):
             ml_diagonal(np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        samples = draws(LOSSY_TWO_PHOTON, 2_000, seed=218)
+        samples[17, 0] = bad
+        with pytest.raises(OutOfRange, match="not finite"):
+            ml_diagonal(samples)
+        with pytest.raises(OutOfRange, match="not finite"):
+            bootstrap_stderr(samples)
+
     def test_json_keys(self):
         result = ml_diagonal(draws([1.0], 2_000, seed=210))
         d = result.to_json_dict()
         assert set(d) == {"cutoff", "probs", "log_likelihood", "iterations", "converged"}
         assert d["cutoff"] == 5 and len(d["probs"]) == 6
+
+
+class TestEmKernel:
+    @staticmethod
+    def histograms(config):
+        sets = [
+            (LOSSY_TWO_PHOTON, 2_000, 221),
+            (LOSSY_TWO_PHOTON, 20_000, 222),
+            ([1.0], 5_000, 223),
+            ([0.0, 1.0], 5_000, 224),
+            ([0.3, 0.3, 0.4], 50_000, 225),
+        ]
+        rows = [_histogram(draws(p, n, seed), config) for p, n, seed in sets]
+        return np.stack([hist for hist, _ in rows]), rows[0][1]
+
+    def test_batch_matches_per_row_loop(self):
+        # a budget between the rows' stopping points: some rows converge,
+        # the others freeze at max_iters
+        config = MLConfig(max_iters=400, tol=1e-9)
+        hist, pi = self.histograms(config)
+        probs, ll, iters, converged, history = _em(hist, pi, config)
+        assert 0 < np.count_nonzero(converged) < hist.shape[0]
+        for b in range(hist.shape[0]):
+            ref_probs, ref_ll, ref_iters, ref_converged, ref_history = reference_em(
+                hist[b], pi, config
+            )
+            assert iters[b] == ref_iters and converged[b] == ref_converged
+            # same products per row; only the log-likelihood sums over the
+            # batch's occupied bins
+            np.testing.assert_array_equal(probs[b], ref_probs)
+            assert ll[b] == pytest.approx(ref_ll, rel=1e-12)
+            assert history[b].shape == (ref_iters + 1,)
+            np.testing.assert_allclose(history[b], ref_history, rtol=1e-12)
+            assert history[b][-1] == ll[b]
+
+    def test_single_row_is_the_loop_bit_for_bit(self):
+        samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=226)
+        hist, pi = _histogram(samples, MLConfig())
+        ref_probs, ref_ll, ref_iters, ref_converged, ref_history = reference_em(hist, pi, MLConfig())
+        result = ml_diagonal(samples)
+        np.testing.assert_array_equal(result.probs, ref_probs)
+        np.testing.assert_array_equal(result.ll_history, ref_history)
+        assert result.log_likelihood == ref_ll
+        assert result.iterations == ref_iters and result.converged == ref_converged
+
+    def test_falling_likelihood_raises_on_any_row(self):
+        # negative counts break EM's monotonicity; the check covers row 1
+        # of the batch, not only the first row
+        config = MLConfig(cutoff=2, n_bins=64)
+        pi = build_povm(2, 64).elements
+        bad = np.random.default_rng(0).integers(0, 50, 64).astype(float)
+        bad[[5, 30, 50]] = -500.0
+        with pytest.raises(InvalidDensity, match="row 1"):
+            _em(np.stack([np.full(64, 20.0), bad]), pi, config)
 
 
 class TestMlFull:
@@ -192,6 +284,24 @@ class TestBootstrapStderr:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             bootstrap_stderr(np.array([]))
+
+    def test_matches_single_draw_loop(self):
+        samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=214)
+        config = MLConfig()
+        hist, pi = _histogram(samples, config)
+        total = int(hist.sum())
+        rng = np.random.default_rng(3)
+        reps = [
+            reference_em(rng.multinomial(total, hist / total).astype(float), pi, config)[0]
+            for _ in range(16)
+        ]
+        expected = np.std(reps, axis=0, ddof=1)
+        np.testing.assert_array_equal(bootstrap_stderr(samples, config, rng_seed=3), expected)
+
+    @pytest.mark.parametrize("n_boot", [0, 1])
+    def test_needs_two_replicates(self, n_boot):
+        with pytest.raises(OutOfRange, match="at least 2"):
+            bootstrap_stderr(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), n_boot=n_boot)
 
 
 class TestFockFidelity:
