@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analytic import g2_closed_form
 from .errors import (
     DurationTooShort,
     InsufficientStatistics,
@@ -268,24 +269,16 @@ def select_coincidences(
 
 def write_click_stream_csv(stream: ClickStream, path: str) -> None:
     """Click stream as CSV with a single column (time_seconds)."""
-    with open(path, "w") as fh:
-        fh.write("time_seconds\n")
-        for t in stream.times:
-            fh.write(f"{t:.12g}\n")
+    np.savetxt(path, stream.times, fmt="%.12g", header="time_seconds", comments="")
 
 
 def write_g2_csv(hist: G2Histogram, path: str, gamma: float | None = None) -> None:
     """Histogram as CSV (delay_ns, g2); adds g2_theory when gamma given."""
-    from .analytic import g2_closed_form
-
-    with open(path, "w") as fh:
-        if gamma is None:
-            fh.write("delay_ns,g2\n")
-            for c, g in zip(hist.bin_centers, hist.g2):
-                fh.write(f"{c * 1e9:.12g},{g:.12g}\n")
-        else:
-            fh.write("delay_ns,g2_empirical,g2_theory\n")
-            for c, g in zip(hist.bin_centers, hist.g2):
-                fh.write(
-                    f"{c * 1e9:.12g},{g:.12g},{g2_closed_form(c, gamma):.12g}\n"
-                )
+    columns = [hist.bin_centers * 1e9, hist.g2]
+    header = "delay_ns,g2"
+    if gamma is not None:
+        columns.append(g2_closed_form(hist.bin_centers, gamma))
+        header = "delay_ns,g2_empirical,g2_theory"
+    np.savetxt(
+        path, np.column_stack(columns), fmt="%.12g", delimiter=",", header=header, comments=""
+    )

@@ -97,9 +97,5 @@ class InsufficientPairs(HeraldSimError):
 
 # ---- tomography ----
 
-class NotConverged(HeraldSimError):
-    """Iteration budget exhausted (results normally carry a flag instead)."""
-
-
 class EmptyInput(HeraldSimError):
     """No samples supplied."""

@@ -14,6 +14,10 @@ run_fixed_mode_sweep  photon weights in the first-trigger mode vs delay
 run_fock_panels     reconstructed distributions in four analysis modes
 end_to_end          clicks -> pairs -> traces -> projections -> tomography
 reconstruct_samples tomography of an existing quadrature CSV
+
+``run_g2`` and ``end_to_end`` get their clicks from one helper,
+``_click_stream``; both delay sweeps are ``_sweep`` with their own analysis
+mode and columns.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import platform
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 import scipy
@@ -33,6 +38,7 @@ import scipy
 from . import __version__
 from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mode_distribution, g2_closed_form
 from .clicks import (
+    ClickStream,
     concatenate_streams,
     g2_histogram,
     sample_clicks,
@@ -107,37 +113,29 @@ class ExperimentConfig:
     bootstrap_reps: int = 16
 
     def __post_init__(self) -> None:
-        positive = {
-            "gamma_hz": self.gamma_hz,
-            "grid_dt_ns": self.grid_dt_ns,
-            "grid_window_ns": self.grid_window_ns,
-            "acceptance_window_ns": self.acceptance_window_ns,
-            "samples_per_point": self.samples_per_point,
-            "mean_rate_hz": self.mean_rate_hz,
-            "field_dt_ns": self.field_dt_ns,
-            "g2_n_events": self.g2_n_events,
-            "g2_bin_ns": self.g2_bin_ns,
-            "g2_max_delay_ns": self.g2_max_delay_ns,
-            "end_to_end_duration_s": self.end_to_end_duration_s,
-            "delta_t_bin_ns": self.delta_t_bin_ns,
-            "min_pairs_per_bin": self.min_pairs_per_bin,
-            "tomo_cutoff": self.tomo_cutoff,
-            "tomo_n_bins": self.tomo_n_bins,
-        }
-        for name, value in positive.items():
+        positive = (
+            "gamma_hz", "grid_dt_ns", "grid_window_ns", "acceptance_window_ns",
+            "samples_per_point", "mean_rate_hz", "field_dt_ns", "g2_n_events", "g2_bin_ns",
+            "g2_max_delay_ns", "end_to_end_duration_s", "delta_t_bin_ns", "min_pairs_per_bin",
+            "tomo_cutoff", "tomo_n_bins",
+        )
+        for name in positive:
+            value = getattr(self, name)
             if not value > 0:
                 raise OutOfRange(f"{name} must be positive, got {value}")
+        if self.rng_seed < 0:
+            raise OutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.bootstrap_reps < 2:
             raise OutOfRange(f"bootstrap_reps must be at least 2, got {self.bootstrap_reps}")
         if not (0.0 <= self.eta <= 1.0):
             raise OutOfRange(f"eta must lie in [0, 1], got {self.eta}")
-        if self.dead_time_ns < 0.0:
-            raise OutOfRange(f"dead_time_ns cannot be negative, got {self.dead_time_ns}")
+        if not self.dead_time_ns >= 0.0:  # also catches NaN
+            raise OutOfRange(f"dead_time_ns must be non-negative, got {self.dead_time_ns}")
         delays = tuple(float(d) for d in self.delays_ns)
         if not delays:
             raise OutOfRange("delays_ns must not be empty")
-        if any(d < 0 for d in delays) or list(delays) != sorted(delays):
-            raise OutOfRange("delays_ns must be non-negative and sorted ascending")
+        if not all(0.0 <= d < math.inf for d in delays) or list(delays) != sorted(delays):
+            raise OutOfRange("delays_ns must be finite, non-negative and sorted ascending")
         object.__setattr__(self, "delays_ns", delays)
 
     def grid(self) -> TimeGrid:
@@ -161,17 +159,31 @@ def save_config(config: ExperimentConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read a config JSON; unknown keys are rejected to catch typos."""
+    """Read a config JSON; unknown keys (typos) and values whose type does
+    not fit the field are rejected."""
     raw = json.loads(Path(path).read_text())
     if not isinstance(raw, dict):
         raise OutOfRange(f"config file {path} must hold a JSON object")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - known
+    annotations = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    unknown = set(raw) - set(annotations)
     if unknown:
         raise OutOfRange(f"unknown config keys: {sorted(unknown)}")
-    if "delays_ns" in raw:
-        raw["delays_ns"] = tuple(float(d) for d in raw["delays_ns"])
+    hints = get_type_hints(ExperimentConfig)
+    for name, value in raw.items():
+        if not _fits(hints[name], value):
+            raise OutOfRange(f"config key {name} must be {annotations[name]}, got {value!r}")
     return ExperimentConfig(**raw)
+
+
+def _fits(hint: Any, value: Any) -> bool:
+    """Whether a JSON value fits a field annotation.  Float fields take
+    integers too; true/false fits no field, although bool subclasses int."""
+    items = [value]
+    if get_origin(hint) is tuple:  # delays_ns, a JSON list of numbers
+        hint = get_args(hint)[0]
+        items = value if isinstance(value, list) else [None]
+    allowed = (int, float) if hint is float else hint
+    return all(isinstance(v, allowed) and not isinstance(v, bool) for v in items)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -210,10 +222,6 @@ def _prepare_out_dir(config: ExperimentConfig, out_dir: str | Path | None, comma
     return base
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
@@ -223,15 +231,12 @@ def _herald_for_delay(config: ExperimentConfig, delta_t: float) -> HeraldPair:
     return HeraldPair(t1=center - 0.5 * delta_t, t2=center + 0.5 * delta_t)
 
 
-def _adapted_lossy_distribution(ov: float, eta: float) -> PhotonDistribution:
-    # reduced state of f1 before loss is diag(F-, 0, F+); loss is binomial
+def _pair_lossy_distributions(ov: float, eta: float) -> tuple[PhotonDistribution, ...]:
+    # reduced states of f1 and f2 before loss are diag(F-, 0, F+) and
+    # diag(F+, 0, F-); loss is binomial
     f_plus, f_minus = fidelity_optimal(ov)
-    return apply_loss(PhotonDistribution(np.array([f_minus, 0.0, f_plus])), eta)
-
-
-def _antisymmetric_lossy_distribution(ov: float, eta: float) -> PhotonDistribution:
-    f_plus, f_minus = fidelity_optimal(ov)
-    return apply_loss(PhotonDistribution(np.array([f_plus, 0.0, f_minus])), eta)
+    adapted = apply_loss(PhotonDistribution(np.array([f_minus, 0.0, f_plus])), eta)
+    return adapted, apply_loss(PhotonDistribution(np.array([f_plus, 0.0, f_minus])), eta)
 
 
 def _fixed_lossy_distribution(ov: float, eta: float) -> PhotonDistribution:
@@ -248,14 +253,11 @@ class _DelayScene:
     f1: ModeFunction
     f2: ModeFunction | None  # undefined at zero delay
     state: MultimodeState
-    rho_pair: np.ndarray | None  # lossy state of (f1, f2); None at zero delay
-    rho_f1: np.ndarray
-    rho_g1: np.ndarray
     overlap: float
 
 
 def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
-    """Build trigger/analysis modes at one delay and reduce the lossy state.
+    """Build trigger/analysis modes and the lossy state at one delay.
 
     At zero delay the two triggers coincide: the state is a two-photon
     Fock state in the single mode g1 = f1 and the antisymmetric partner
@@ -267,21 +269,13 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     if delta_t == 0.0:
         register = ModeRegister(modes=(g1,))
         state = apply_loss_channel(build_heralded_state(register, g1, g1), config.eta)
-        rho_f1 = reduce_to_mode(state, g1)
-        return _DelayScene(
-            herald=herald, g1=g1, g2=g1, f1=g1, f2=None, state=state,
-            rho_pair=None, rho_f1=rho_f1, rho_g1=rho_f1, overlap=1.0,
-        )
+        return _DelayScene(herald=herald, g1=g1, g2=g1, f1=g1, f2=None, state=state, overlap=1.0)
     g2 = make_trigger_mode(herald.t2, config.gamma_hz, grid)
     f1, f2 = make_symmetric_antisymmetric(g1, g2)
     register = ModeRegister(modes=tuple(extend_orthonormal_basis([g1, g2], grid, 2)))
     state = apply_loss_channel(build_heralded_state(register, g1, g2), config.eta)
     return _DelayScene(
-        herald=herald, g1=g1, g2=g2, f1=f1, f2=f2, state=state,
-        rho_pair=reduce_to_mode_pair(state, f1, f2),
-        rho_f1=reduce_to_mode(state, f1),
-        rho_g1=reduce_to_mode(state, g1),
-        overlap=overlap(g1, g2),
+        herald=herald, g1=g1, g2=g2, f1=f1, f2=f2, state=state, overlap=overlap(g1, g2)
     )
 
 
@@ -292,6 +286,57 @@ def _reconstruct(
     result = ml_diagonal(samples, ml_config)
     stderr = bootstrap_stderr(samples, ml_config, n_boot=config.bootstrap_reps, rng_seed=boot_seed)
     return result, stderr
+
+
+def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
+    """Trigger-beam clicks over ``duration`` seconds: (stream, segments, spare seed).
+
+    The field is synthesized in segments of at most
+    MAX_FIELD_SAMPLES_PER_SEGMENT samples, each thinned to clicks.  The
+    spare seed feeds the caller's next random step.
+    """
+    dt_field = config.field_dt_ns * 1e-9
+    segment = duration
+    if duration / dt_field > MAX_FIELD_SAMPLES_PER_SEGMENT:
+        segment = MAX_FIELD_SAMPLES_PER_SEGMENT * dt_field
+    n_segments = int(math.ceil(duration / segment))
+    # 2k: field, 2k + 1: thinning; seeds are a prefix-stable sequence, so
+    # the spare last seed leaves the segment seeds unchanged
+    seeds = _derive_seeds(config.rng_seed, 2 * n_segments + 1)
+    streams = []
+    for k in range(n_segments):
+        field = synthesize_thermal_field(config.gamma_hz, segment, dt_field, seeds[2 * k])
+        streams.append(sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1]))
+        del field  # a segment holds up to 4 M samples; free it before the next
+    return concatenate_streams(streams), n_segments, seeds[-1]
+
+
+def _sweep(
+    config: ExperimentConfig,
+    out_dir: str | Path | None,
+    name: str,
+    mode_of: Callable[[_DelayScene], ModeFunction],
+    columns: list[str],
+    row_of: Callable[[_DelayScene, MLResult, np.ndarray], list[float]],
+) -> list[dict]:
+    """Reconstruct the state of the mode ``mode_of(scene)`` at every delay.
+
+    Each row holds the delay and then ``row_of(scene, result, stderr)``,
+    under ``columns``; the rows are written to <name>.csv and returned.
+    """
+    out = _prepare_out_dir(config, out_dir, name)
+    seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
+    table = []
+    for k, delta_ns in enumerate(config.delays_ns):
+        scene = _build_scene(config, delta_ns * 1e-9)
+        rho = reduce_to_mode(scene.state, mode_of(scene))
+        samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
+        result, stderr = _reconstruct(samples, config, seeds[2 * k + 1])
+        table.append([delta_ns, *row_of(scene, result, stderr)])
+    header = ",".join(columns)
+    np.savetxt(out / f"{name}.csv", table, fmt="%.12g", delimiter=",", header=header, comments="")
+    write_manifest(config, out, name, [f"{name}.csv"])
+    return [dict(zip(columns, row)) for row in table]
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +350,7 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     manifest.  Returns the summary dict.
     """
     out = _prepare_out_dir(config, out_dir, "g2")
-    duration_total = config.g2_n_events / config.mean_rate_hz
-    dt_field = config.field_dt_ns * 1e-9
-    segment = _segment_duration(duration_total, dt_field)
-    n_segments = int(math.ceil(duration_total / segment))
-    seeds = _derive_seeds(config.rng_seed, 2 * n_segments)
-    streams = []
-    for k in range(n_segments):
-        field = synthesize_thermal_field(config.gamma_hz, segment, dt_field, seeds[2 * k])
-        streams.append(sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1]))
-    stream = concatenate_streams(streams)
+    stream, n_segments, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
     hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)
     deviation = np.abs(hist.g2 - theory)
@@ -334,12 +370,6 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     return summary
 
 
-def _segment_duration(duration_total: float, dt_field: float) -> float:
-    if duration_total / dt_field <= MAX_FIELD_SAMPLES_PER_SEGMENT:
-        return duration_total
-    return MAX_FIELD_SAMPLES_PER_SEGMENT * dt_field
-
-
 def run_delay_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) -> list[dict]:
     """Two-photon weight in the adapted mode f1 versus herald delay.
 
@@ -348,32 +378,13 @@ def run_delay_sweep(config: ExperimentConfig, out_dir: str | Path | None = None)
     eta**2 * F_plus(I).  Writes delay_sweep.csv with columns
     (delta_t_ns, P2_f1_analytic, P2_f1_reconstructed, stderr).
     """
-    out = _prepare_out_dir(config, out_dir, "delay_sweep")
-    seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
-    rows = []
-    for k, delta_ns in enumerate(config.delays_ns):
-        scene = _build_scene(config, delta_ns * 1e-9)
-        samples = sample_quadratures(scene.rho_f1, config.samples_per_point, seeds[2 * k])
-        result, stderr = _reconstruct(samples, config, seeds[2 * k + 1])
+    columns = ["delta_t_ns", "P2_f1_analytic", "P2_f1_reconstructed", "stderr"]
+
+    def row_of(scene: _DelayScene, result: MLResult, stderr: np.ndarray) -> list[float]:
         analytic_p2 = config.eta**2 * fidelity_optimal(scene.overlap)[0]
-        rows.append(
-            {
-                "delta_t_ns": delta_ns,
-                "P2_f1_analytic": analytic_p2,
-                "P2_f1_reconstructed": float(result.probs[2]),
-                "stderr": float(stderr[2]),
-            }
-        )
-    csv_path = out / "delay_sweep.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("delta_t_ns,P2_f1_analytic,P2_f1_reconstructed,stderr\n")
-        for row in rows:
-            fh.write(
-                f"{_fmt(row['delta_t_ns'])},{_fmt(row['P2_f1_analytic'])},"
-                f"{_fmt(row['P2_f1_reconstructed'])},{_fmt(row['stderr'])}\n"
-            )
-    write_manifest(config, out, "delay_sweep", ["delay_sweep.csv"])
-    return rows
+        return [analytic_p2, float(result.probs[2]), float(stderr[2])]
+
+    return _sweep(config, out_dir, "delay_sweep", lambda scene: scene.f1, columns, row_of)
 
 
 def run_fixed_mode_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) -> list[dict]:
@@ -381,32 +392,18 @@ def run_fixed_mode_sweep(config: ExperimentConfig, out_dir: str | Path | None = 
 
     Analytic curves compose the fixed-mode distribution with binomial
     loss; reconstructed points run the same sampling + EM pipeline as the
-    adapted-mode sweep.  Writes fixed_sweep.csv.
+    adapted-mode sweep.  Writes fixed_sweep.csv with columns delta_t_ns
+    and, for n = 0, 1, 2, (Pn_analytic, Pn_reconstructed, Pn_stderr).
     """
-    out = _prepare_out_dir(config, out_dir, "fixed_sweep")
-    seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
-    rows = []
-    for k, delta_ns in enumerate(config.delays_ns):
-        scene = _build_scene(config, delta_ns * 1e-9)
-        samples = sample_quadratures(scene.rho_g1, config.samples_per_point, seeds[2 * k])
-        result, stderr = _reconstruct(samples, config, seeds[2 * k + 1])
+
+    def row_of(scene: _DelayScene, result: MLResult, stderr: np.ndarray) -> list[float]:
         analytic = _fixed_lossy_distribution(scene.overlap, config.eta)
-        row = {"delta_t_ns": delta_ns}
-        for n in range(3):
-            row[f"P{n}_analytic"] = analytic.p(n)
-            row[f"P{n}_reconstructed"] = float(result.probs[n])
-            row[f"P{n}_stderr"] = float(stderr[n])
-        rows.append(row)
-    csv_path = out / "fixed_sweep.csv"
-    columns = ["delta_t_ns"]
-    for n in range(3):
-        columns += [f"P{n}_analytic", f"P{n}_reconstructed", f"P{n}_stderr"]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
-    write_manifest(config, out, "fixed_sweep", ["fixed_sweep.csv"])
-    return rows
+        per_n = [(analytic.p(n), float(result.probs[n]), float(stderr[n])) for n in range(3)]
+        return [value for triple in per_n for value in triple]
+
+    kinds = ("analytic", "reconstructed", "stderr")
+    columns = ["delta_t_ns"] + [f"P{n}_{kind}" for n in range(3) for kind in kinds]
+    return _sweep(config, out_dir, "fixed_sweep", lambda scene: scene.g1, columns, row_of)
 
 
 def run_fock_panels(
@@ -426,12 +423,9 @@ def run_fock_panels(
     scene = _build_scene(config, delta_t)
     if scene.f2 is None:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
-    analytic_by_mode = {
-        "g1": _fixed_lossy_distribution(scene.overlap, config.eta),
-        "g2": _fixed_lossy_distribution(scene.overlap, config.eta),
-        "f1": _adapted_lossy_distribution(scene.overlap, config.eta),
-        "f2": _antisymmetric_lossy_distribution(scene.overlap, config.eta),
-    }
+    fixed = _fixed_lossy_distribution(scene.overlap, config.eta)
+    adapted, antisymmetric = _pair_lossy_distributions(scene.overlap, config.eta)
+    analytic_by_mode = {"g1": fixed, "g2": fixed, "f1": adapted, "f2": antisymmetric}
     modes_by_name = {"g1": scene.g1, "g2": scene.g2, "f1": scene.f1, "f2": scene.f2}
     seeds = _derive_seeds(config.rng_seed, 2 * len(modes_by_name))
     outputs = []
@@ -470,20 +464,12 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     samples.csv (x, theta_rad, delta_t_ns) and report.json.
     """
     out = _prepare_out_dir(config, out_dir, "end_to_end")
-    dt_field = config.field_dt_ns * 1e-9
-    segment = _segment_duration(config.end_to_end_duration_s, dt_field)
-    n_segments = int(math.ceil(config.end_to_end_duration_s / segment))
-    seeds = _derive_seeds(config.rng_seed, 2 * n_segments + 1)
-    streams = []
-    for k in range(n_segments):
-        field = synthesize_thermal_field(config.gamma_hz, segment, dt_field, seeds[2 * k])
-        streams.append(sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1]))
-    stream = concatenate_streams(streams)
+    stream, _, pair_seed = _click_stream(config, config.end_to_end_duration_s)
     pairs = select_coincidences(
         stream,
         window=config.acceptance_window_ns * 1e-9,
         dead_time=config.dead_time_ns * 1e-9,
-        rng_seed=seeds[-1],
+        rng_seed=pair_seed,
     )
     if not pairs:
         raise InsufficientPairs("no coincidence pairs selected")
@@ -492,7 +478,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
     edges = bin_width * np.arange(n_bins + 1)
     which = np.clip(np.searchsorted(edges, delays, side="right") - 1, 0, n_bins - 1)
-    bin_seeds = _derive_seeds(seeds[-1] ^ 0xE2E, 2 * n_bins)
+    bin_seeds = _derive_seeds(pair_seed ^ 0xE2E, 2 * n_bins)
     sample_rows = []
     bins_report = []
     n_reconstructed = 0
@@ -516,10 +502,9 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             continue
         scene = _build_scene(config, center_ns * 1e-9)
         x_values, thetas = _traces_for_bin(scene, idx.size, bin_seeds[2 * b])
-        for x, theta, pair_idx in zip(x_values, thetas, idx):
-            sample_rows.append((x, theta, delays[pair_idx] * 1e9))
+        sample_rows.append(np.column_stack([x_values, thetas, delays[idx] * 1e9]))
         result, stderr = _reconstruct(x_values, config, bin_seeds[2 * b + 1])
-        analytic = _adapted_lossy_distribution(scene.overlap, config.eta)
+        analytic = _pair_lossy_distributions(scene.overlap, config.eta)[0]
         entry["reconstruction"] = result.to_json_dict()
         entry["stderr"] = [float(s) for s in stderr]
         entry["analytic_probs"] = [float(p) for p in analytic.probs]
@@ -533,11 +518,10 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             f"no delay bin reached {config.min_pairs_per_bin} pairs; "
             f"got {len(pairs)} pairs over {n_bins} bins"
         )
-    samples_path = out / "samples.csv"
-    with open(samples_path, "w") as fh:
-        fh.write("x,theta_rad,delta_t_ns\n")
-        for x, theta, d_ns in sample_rows:
-            fh.write(f"{_fmt(x)},{_fmt(theta)},{_fmt(d_ns)}\n")
+    np.savetxt(
+        out / "samples.csv", np.concatenate(sample_rows), fmt="%.12g", delimiter=",",
+        header="x,theta_rad,delta_t_ns", comments="",
+    )
     report = {
         "n_clicks": int(len(stream)),
         "n_pairs": int(len(pairs)),
@@ -559,12 +543,13 @@ def _traces_for_bin(scene: _DelayScene, count: int, seed: int) -> tuple[np.ndarr
     """
     x_out = np.empty(count)
     theta_out = np.empty(count)
+    rho_pair = reduce_to_mode_pair(scene.state, scene.f1, scene.f2)
     chunk_seeds = _derive_seeds(seed, int(math.ceil(count / MAX_TRACES_PER_CHUNK)))
     done = 0
     for chunk_seed in chunk_seeds:
         n = min(MAX_TRACES_PER_CHUNK, count - done)
         traces, _, thetas = synthesize_trace_batch(
-            scene.rho_pair, scene.f1, scene.f2, scene.herald, n, chunk_seed
+            rho_pair, scene.f1, scene.f2, scene.herald, n, chunk_seed
         )
         x_out[done : done + n] = project_trace(traces, scene.f1)
         theta_out[done : done + n] = thetas
@@ -597,9 +582,12 @@ def reconstruct_samples(
 def _read_samples_csv(path: str | Path) -> np.ndarray:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if not header or header[0] != "x":
-            raise OutOfRange(f"{path}: expected a header starting with 'x'")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
+        rows = [line for line in fh if line.strip()]
+    if header[0] != "x":
+        raise OutOfRange(f"{path}: expected a header starting with 'x'")
+    if not rows:
         raise OutOfRange(f"{path}: no samples")
-    return data[:, 0]
+    try:
+        return np.loadtxt(rows, delimiter=",", ndmin=2)[:, 0]
+    except ValueError as exc:  # a field that is not a number, or a ragged row
+        raise OutOfRange(f"{path}: {exc}") from exc

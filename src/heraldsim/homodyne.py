@@ -78,14 +78,6 @@ def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class QuadratureSample:
-    """One homodyne outcome: quadrature value and local-oscillator phase."""
-
-    x: float
-    theta: float
-
-
-@dataclass(frozen=True)
 class QuadratureTrace:
     """A synthesized homodyne record over an acquisition window."""
 
@@ -169,13 +161,12 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
         x = draw(rng.uniform(0.0, 1.0, size=count))
         return np.column_stack([x, theta])
 
-    # coherent case: rejection against a per-cell phase-independent bound
+    # coherent case: rejection against a per-cell phase-independent bound;
+    # the phases drawn above go unused, but the seeded draws below follow them
     g0, harmonics = _phase_blocks_1d(rho, xs)
     bound_nodes = g0 + sum(2.0 * np.abs(g) for g in harmonics.values())
     cell_bound = np.maximum(bound_nodes[1:], bound_nodes[:-1]) * REJECTION_GUARD
-    h = xs[1] - xs[0]
-    cell_cdf = np.cumsum(cell_bound * h)
-    cell_cdf /= cell_cdf[-1]
+    propose = _cell_proposal(rng, xs, cell_bound * (xs[1] - xs[0]), cell_bound)
     dim = rho.shape[0]
 
     def pdf_exact(xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
@@ -183,22 +174,42 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
         w = psi * np.exp(1j * np.outer(np.arange(dim), tv))
         return np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w))
 
-    out_x = np.empty(count)
-    out_t = np.empty(count)
+    return _rejection_sample(rng, count, propose, pdf_exact)
+
+
+def _cell_proposal(
+    rng: np.random.Generator, edges: np.ndarray, weights: np.ndarray, bound: np.ndarray
+):
+    """Proposal ``propose(n) -> ((x_1, ..., x_k, theta), cell bounds)``: cells
+    drawn in proportion to ``weights``, a uniform jitter inside each cell on
+    every axis of the uniform grid ``edges``, then a uniform phase."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    h = edges[1] - edges[0]
+
+    def propose(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        cell = np.unravel_index(np.searchsorted(cdf, rng.uniform(0.0, 1.0, size=n)), bound.shape)
+        xs = tuple(edges[i] + h * rng.uniform(0.0, 1.0, size=n) for i in cell)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        return xs + (theta,), bound[cell]
+
+    return propose
+
+
+def _rejection_sample(rng: np.random.Generator, count: int, propose, density) -> np.ndarray:
+    """Draw ``count`` points, shape (count, k), by rejection: keep a proposed
+    point when u * bound <= density(point) for u uniform on [0, 1)."""
+    parts = []
     filled = 0
     while filled < count:
         todo = count - filled
         batch = max(int(todo * 1.5) + 16, 64)
-        cells = np.searchsorted(cell_cdf, rng.uniform(0.0, 1.0, size=batch))
-        xv = xs[cells] + h * rng.uniform(0.0, 1.0, size=batch)
-        tv = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-        accept = rng.uniform(0.0, 1.0, size=batch) * cell_bound[cells] <= pdf_exact(xv, tv)
-        take = min(int(accept.sum()), todo)
-        idx = np.nonzero(accept)[0][:take]
-        out_x[filled : filled + take] = xv[idx]
-        out_t[filled : filled + take] = tv[idx]
-        filled += take
-    return np.column_stack([out_x, out_t])
+        columns, bound = propose(batch)
+        accept = rng.uniform(0.0, 1.0, size=batch) * bound <= density(*columns)
+        idx = np.nonzero(accept)[0][:todo]
+        parts.append(np.column_stack([c[idx] for c in columns]))
+        filled += idx.size
+    return np.concatenate(parts)
 
 
 def _phase_blocks_2d(rho2: np.ndarray, d: int, centers: np.ndarray):
@@ -240,27 +251,15 @@ def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.nd
         raise InvalidDensity(f"two-mode matrix dimension {rho2.shape[0]} is not a square")
     rng = np.random.default_rng(rng_seed)
     edges = np.linspace(-X_MAX, X_MAX, GRID_2D + 1)
-    h = edges[1] - edges[0]
     centers = 0.5 * (edges[:-1] + edges[1:])
     blocks = _phase_blocks_2d(rho2, d, centers)
     g0 = np.clip(blocks.get(0, np.zeros((GRID_2D, GRID_2D))).real, 0.0, None)
     harmonic = {k: v for k, v in blocks.items() if k != 0 and np.max(np.abs(v)) > 1e-12}
 
     if not harmonic:
-        masses = g0.ravel()
-        cdf = np.cumsum(masses)
-        cdf /= cdf[-1]
-        flat = np.searchsorted(cdf, rng.uniform(0.0, 1.0, size=count))
-        i1, i2 = np.unravel_index(flat, (GRID_2D, GRID_2D))
-        x1 = edges[i1] + h * rng.uniform(0.0, 1.0, size=count)
-        x2 = edges[i2] + h * rng.uniform(0.0, 1.0, size=count)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-        return np.column_stack([x1, x2, theta])
+        return np.column_stack(_cell_proposal(rng, edges, g0, g0)(count)[0])
 
     bound = (g0 + sum(2.0 * np.abs(g) for g in harmonic.values())) * REJECTION_GUARD
-    masses = bound.ravel()
-    cdf = np.cumsum(masses)
-    cdf /= cdf[-1]
     r4 = rho2.reshape(d, d, d, d)
 
     def pdf_exact(x1v, x2v, tv):
@@ -273,24 +272,7 @@ def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.nd
             np.einsum("ms,ns,mnop,os,ps->s", w1.conj(), w2.conj(), r4, w1, w2, optimize=True)
         )
 
-    out = np.empty((count, 3))
-    filled = 0
-    while filled < count:
-        todo = count - filled
-        batch = max(int(todo * 1.5) + 16, 64)
-        flat = np.searchsorted(cdf, rng.uniform(0.0, 1.0, size=batch))
-        i1, i2 = np.unravel_index(flat, (GRID_2D, GRID_2D))
-        x1 = edges[i1] + h * rng.uniform(0.0, 1.0, size=batch)
-        x2 = edges[i2] + h * rng.uniform(0.0, 1.0, size=batch)
-        tv = rng.uniform(0.0, 2.0 * math.pi, size=batch)
-        accept = rng.uniform(0.0, 1.0, size=batch) * bound[i1, i2] <= pdf_exact(x1, x2, tv)
-        take = min(int(accept.sum()), todo)
-        idx = np.nonzero(accept)[0][:take]
-        out[filled : filled + take, 0] = x1[idx]
-        out[filled : filled + take, 1] = x2[idx]
-        out[filled : filled + take, 2] = tv[idx]
-        filled += take
-    return out
+    return _rejection_sample(rng, count, _cell_proposal(rng, edges, bound, bound), pdf_exact)
 
 
 def vacuum_two_mode(n_max: int = 2) -> np.ndarray:
@@ -380,15 +362,13 @@ def project_trace(trace: QuadratureTrace | np.ndarray, xi: ModeFunction, grid: T
 def write_trace_csv(trace: QuadratureTrace, path: str) -> None:
     """Trace file: one header row (t_start, dt, n_samples, t1, t2, seed),
     then one sample per line."""
-    with open(path, "w") as fh:
-        fh.write("t_start,dt,n_samples,t1,t2,seed\n")
-        fh.write(
-            f"{trace.grid.t_start:.12g},{trace.grid.dt:.12g},{trace.grid.n_samples},"
-            f"{trace.herald.t1:.12g},{trace.herald.t2:.12g},{trace.seed}\n"
-        )
-        fh.write("sample\n")
-        for v in trace.samples:
-            fh.write(f"{v:.12g}\n")
+    header = (
+        "t_start,dt,n_samples,t1,t2,seed\n"
+        f"{trace.grid.t_start:.12g},{trace.grid.dt:.12g},{trace.grid.n_samples},"
+        f"{trace.herald.t1:.12g},{trace.herald.t2:.12g},{trace.seed}\n"
+        "sample"
+    )
+    np.savetxt(path, trace.samples, fmt="%.12g", header=header, comments="")
 
 
 def read_trace_csv(path: str) -> QuadratureTrace:

@@ -294,11 +294,8 @@ def extend_orthonormal_basis(seeds: list[ModeFunction], grid: TimeGrid, total: i
 
 def write_mode_csv(mode: ModeFunction, path: str) -> None:
     """Write a mode as CSV with columns (t_seconds, amplitude)."""
-    t = mode.grid.times()
-    with open(path, "w") as fh:
-        fh.write("t_seconds,amplitude\n")
-        for ti, ai in zip(t, mode.samples):
-            fh.write(f"{ti:.12g},{ai:.12g}\n")
+    data = np.column_stack([mode.grid.times(), mode.samples])
+    np.savetxt(path, data, fmt="%.12g", delimiter=",", header="t_seconds,amplitude", comments="")
 
 
 def read_mode_csv(path: str) -> ModeFunction:

@@ -101,22 +101,18 @@ class MLResult:
     converged: bool
     cutoff: int
     ll_history: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
-    stderr: np.ndarray | None = None
 
     def distribution(self) -> PhotonDistribution:
         return PhotonDistribution(self.probs)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "cutoff": self.cutoff,
             "probs": [float(p) for p in self.probs],
             "log_likelihood": float(self.log_likelihood),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
         }
-        if self.stderr is not None:
-            out["stderr"] = [float(s) for s in self.stderr]
-        return out
 
 
 def _bin_samples(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -4,11 +4,19 @@ determinism, and machine-readable error reporting.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from heraldsim.analytic import two_photon_weight_lossy
 from heraldsim.cli import main
@@ -111,6 +119,42 @@ class TestConfig:
             ExperimentConfig(dead_time_ns=-1.0)
         with pytest.raises(OutOfRange, match="bootstrap_reps"):
             ExperimentConfig(bootstrap_reps=1)
+        with pytest.raises(OutOfRange, match="rng_seed"):
+            ExperimentConfig(rng_seed=-1)
+        with pytest.raises(OutOfRange, match="delays_ns"):
+            ExperimentConfig(delays_ns=(0.0, math.nan))
+        with pytest.raises(OutOfRange, match="delays_ns"):
+            ExperimentConfig(delays_ns=(0.0, math.inf))
+        with pytest.raises(OutOfRange, match="dead_time_ns"):
+            ExperimentConfig(dead_time_ns=math.nan)
+
+    def test_seed_beyond_64_bits_accepted(self):
+        assert ExperimentConfig(rng_seed=2**64).rng_seed == 2**64
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"eta": "high"},
+            {"delays_ns": 5},
+            {"delays_ns": [0.0, "2"]},
+            {"samples_per_point": 1.5},
+            {"tomo_n_bins": 64.5},
+            {"samples_per_point": True},
+            {"eta": False},
+            {"output_dir": 7},
+        ],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(OutOfRange, match=next(iter(raw))):
+            load_config(path)
+
+    def test_integers_fit_float_fields(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"eta": 1, "delays_ns": [0, 2.5], "gamma_hz": 53000000}')
+        config = load_config(path)
+        assert config.eta == 1.0 and config.delays_ns == (0.0, 2.5)
 
     def test_grid(self):
         grid = ExperimentConfig().grid()
@@ -315,6 +359,22 @@ class TestReconstructSamples:
         with pytest.raises(OutOfRange):
             reconstruct_samples(path, TINY, tmp_path / "out")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,theta_rad\n", "no samples"),
+            ("x,theta_rad\n0.1,0.2\nabc,0.3\n", "abc"),
+            ("x,theta_rad\n0.1,0.2\n0.3\n", "column"),
+        ],
+    )
+    def test_bad_rows_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr
+            with pytest.raises(OutOfRange, match=message):
+                reconstruct_samples(path, TINY, tmp_path / "out")
+
 
 class TestCli:
     @staticmethod
@@ -407,6 +467,31 @@ class TestCli:
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "not finite" in err["message"]
 
+    def test_mistyped_config_error_json(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"eta": "high"}')
+        rc = main(["sweep-delay", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "eta" in err["message"]
+
+    def test_negative_seed_error_json(self, tmp_path, capsys):
+        rc = main(["g2", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "rng_seed" in err["message"]
+
+    def test_seed_beyond_64_bits_runs(self, tmp_path, capsys):
+        csv = write_sample_csv(tmp_path / "samples.csv", count=2000)
+        cfg_path, _ = self.config_file(tmp_path)
+        seed = "18446744073709551616"
+        rc = main(["reconstruct", str(csv), "--config", str(cfg_path), "--seed", seed,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "run" / "reconstruct" / "manifest.json").read_text())
+        assert manifest["rng_seed"] == 2**64
+
     def test_invalid_json_config(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{not json")
@@ -414,3 +499,89 @@ class TestCli:
         assert rc == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "JSONDecodeError"
+
+
+# ---------------------------------------------------------------------------
+# CLI contract for any input: exit != 0 leaves exactly one JSON error object
+# on stderr; exit 0 writes only finite numbers.
+
+WRONG_TYPE = st.one_of(
+    st.text(max_size=3), st.booleans(), st.none(), st.lists(st.integers(0, 3), max_size=2)
+)
+# keys that reconstruct reads or validates; bootstrap_reps and tomo_n_bins
+# stay small so the test runs in seconds
+VALID = {
+    "bootstrap_reps": st.integers(2, 8),
+    "tomo_cutoff": st.integers(2, 16),
+    "tomo_n_bins": st.integers(64, 512),
+    "rng_seed": st.integers(0, 2**70),
+    "eta": st.floats(0.0, 1.0),
+    "samples_per_point": st.integers(1, 10**6),
+    "delays_ns": st.lists(st.floats(0.0, 50.0), min_size=1, max_size=3).map(sorted),
+    "dead_time_ns": st.floats(0.0, 1e3),
+}
+OUT_OF_RANGE = {
+    "bootstrap_reps": st.integers(-3, 1),
+    "tomo_cutoff": st.integers(-2, 1) | st.integers(17, 40),
+    "tomo_n_bins": st.integers(-3, 63),
+    "rng_seed": st.integers(-(2**70), -1),
+    "eta": st.floats(allow_nan=True, allow_infinity=True).filter(lambda v: not 0.0 <= v <= 1.0),
+    "samples_per_point": st.integers(-3, 0),
+    "delays_ns": st.sampled_from([[], [4.0, 2.0], [-1.0], [0.0, math.nan], [math.inf]]),
+    "dead_time_ns": st.floats(-1e3, -0.1) | st.just(math.nan),
+}
+FINITE = st.floats(-9.0, 9.0) | st.floats(allow_nan=False, allow_infinity=False)
+NOT_FINITE_OR_NUMBER = st.sampled_from(["nan", "inf", "-inf", "-nan", "abc", ""])
+
+
+@st.composite
+def reconstruct_inputs(draw):
+    """A config dict and sample rows; either may hold one bad entry, and
+    the rows may be empty."""
+    config = {key: draw(values) for key, values in VALID.items() if draw(st.booleans())}
+    config.setdefault("bootstrap_reps", draw(VALID["bootstrap_reps"]))
+    if draw(st.integers(0, 2)) == 0:
+        key = draw(st.sampled_from(sorted(VALID)))
+        config[key] = draw(OUT_OF_RANGE[key] | WRONG_TYPE | st.floats(0.5, 9.5))
+    phases = st.floats(0.0, 2.0 * math.pi).map(repr)
+    rows = draw(st.lists(st.tuples(FINITE.map(repr), phases), min_size=1, max_size=40))
+    spoil = draw(st.sampled_from(["none", "none", "field", "empty"]))
+    if spoil == "field":
+        k = draw(st.integers(0, len(rows) - 1))
+        rows[k] = (draw(NOT_FINITE_OR_NUMBER), rows[k][1])
+    return config, [] if spoil == "empty" else rows
+
+
+def json_numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from json_numbers(item)
+    elif isinstance(value, (int, float)):
+        yield value
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=reconstruct_inputs())
+def test_reconstruct_cli_contract(inputs):
+    config, rows = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, csv_path, out = Path(tmp, "config.json"), Path(tmp, "samples.csv"), Path(tmp, "run")
+        cfg_path.write_text(json.dumps(config))
+        csv_path.write_text("x,theta_rad\n" + "".join(f"{x},{theta}\n" for x, theta in rows))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            rc = main(["reconstruct", str(csv_path), "--config", str(cfg_path), "--out", str(out)])
+        event(f"exit {rc}")
+        if rc != 0:
+            # outside pytest a warning prints on stderr beside the error object
+            assert not [str(w.message) for w in caught]
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error"}
+        else:
+            payload = json.loads((out / "reconstruct" / "reconstruction.json").read_text())
+            assert all(math.isfinite(v) for v in json_numbers(payload))

@@ -200,6 +200,18 @@ class TestJointSampling:
         d = ks_statistic(samples[:, 0], dist)
         assert d * math.sqrt(samples.shape[0]) < KS_CRIT_1PC
 
+    def test_coherent_superposition_rejection_branch(self):
+        # (|00> + |10>)/sqrt(2): mode 1 holds a coherence between unequal
+        # photon numbers, so the joint sampler takes its rejection branch;
+        # <x1 | theta> = cos(theta)/sqrt(2) and mode 2 stays in vacuum
+        psi = np.zeros(9)
+        psi[[0, 3]] = 1.0 / math.sqrt(2.0)
+        samples = joint_sample_two_modes(np.outer(psi, psi), 200_000, rng_seed=23)
+        x1, x2, theta = samples.T
+        assert np.mean(x1 * np.cos(theta)) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=0.01)
+        assert np.var(x2) == pytest.approx(0.5, abs=0.01)
+        assert abs(np.corrcoef(x1, x2)[0, 1]) < 0.02
+
     def test_deterministic(self):
         a = joint_sample_two_modes(vacuum_two_mode(), 500, rng_seed=5)
         b = joint_sample_two_modes(vacuum_two_mode(), 500, rng_seed=5)
