@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Check that two commits write the same artifacts, file by file.
+
+Both commits are checked out with ``git worktree`` under a temporary
+directory (removed afterwards).  In each checkout, with the same relative
+output paths, this runs
+
+    default   scripts/reproduce_figures.py            (default config)
+    seed43    scripts/reproduce_figures.py --seed 43
+    pipeline  end-to-end + reconstruct at the perfbench ``pipeline``
+              config, seed 7
+
+then prints the sha256 of every file under each run and exits 1 on any
+difference that is not listed with ``--expect-diff``.  A PATH given there
+matches every file whose path ends in it (``end_to_end/samples.csv``
+matches that file in all three runs); for an expected CSV difference the
+table also counts the changed rows and gives the largest change per column.
+
+Usage:
+    python scripts/check_identity.py BASE [HEAD] [--expect-diff PATH ...]
+
+Stdlib only.  The default and seed-43 runs take several minutes per
+commit; TMPDIR picks where the checkouts go.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = "identity_out"
+PIPELINE_SEED = 7
+# one heraldsim CLI call: what perfbench's worker and reproduce_figures.py do
+CLI = "import sys; from heraldsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def _pipeline_config() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    return WORKLOADS["pipeline"].config
+
+
+def runs(pipeline_config: Path) -> dict[str, list[list[str]]]:
+    """The commands of each run, relative to a checkout's root."""
+    py = sys.executable
+    out = f"{OUT}/pipeline"
+    common = ["--config", str(pipeline_config), "--out", out, "--seed", str(PIPELINE_SEED)]
+    return {
+        "default": [[py, "scripts/reproduce_figures.py", "--out", f"{OUT}/default"]],
+        "seed43": [[py, "scripts/reproduce_figures.py", "--out", f"{OUT}/seed43", "--seed", "43"]],
+        "pipeline": [
+            [py, "-c", CLI, "end-to-end", *common],
+            [py, "-c", CLI, "reconstruct", f"{out}/end_to_end/samples.csv", *common],
+        ],
+    }
+
+
+def produce(checkout: Path, pipeline_config: Path) -> dict[str, str]:
+    """Run every command in ``checkout``; sha256 of each file it wrote."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for name, commands in runs(pipeline_config).items():
+        print(f"== {checkout.name}: {name}", file=sys.stderr, flush=True)
+        for argv in commands:
+            subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
+    out = checkout / OUT
+    return {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+def expected(path: str, expect_diff: list[str]) -> bool:
+    return any(path == e or path.endswith("/" + e) for e in expect_diff)
+
+
+def compare(
+    base: dict[str, str], head: dict[str, str], expect_diff: list[str]
+) -> tuple[list[tuple[str, str, str, str]], bool]:
+    """Rows (path, base sha, head sha, status) over the union of files, and
+    whether every difference is expected.  A file on one side only is a
+    difference too."""
+    rows = []
+    ok = True
+    for path in sorted(set(base) | set(head)):
+        a, b = base.get(path, "-"), head.get(path, "-")
+        if a == b:
+            status = "same"
+        elif expected(path, expect_diff):
+            status = "differs (expected)"
+        else:
+            status = "DIFFERS"
+            ok = False
+        rows.append((path, a, b, status))
+    return rows, ok
+
+
+def csv_changes(a: Path, b: Path) -> str:
+    """Changed rows of two numeric CSVs with one header, and the largest
+    change per column."""
+    with open(a, newline="") as fa, open(b, newline="") as fb:
+        ra, rb = list(csv.reader(fa)), list(csv.reader(fb))
+    if ra[:1] != rb[:1] or len(ra) != len(rb):
+        return "header or row count differs"
+    header, changed = ra[0], 0
+    largest = dict.fromkeys(header, 0.0)
+    for row_a, row_b in zip(ra[1:], rb[1:]):
+        if row_a == row_b:
+            continue
+        changed += 1
+        for name, x, y in zip(header, row_a, row_b):
+            largest[name] = max(largest[name], abs(float(x) - float(y)))
+    moved = ", ".join(f"{k} {v:.1e}" for k, v in largest.items() if v > 0.0) or "none"
+    return f"{changed} of {len(ra) - 1} rows differ; largest change: {moved}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", help="base commit")
+    parser.add_argument("head", nargs="?", default="HEAD", help="head commit (default HEAD)")
+    parser.add_argument(
+        "--expect-diff", action="append", default=[], metavar="PATH",
+        help="a file allowed to differ (matched as a path suffix); repeatable",
+    )
+    args = parser.parse_args()
+    shas = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
+            for side, rev in (("base", args.base), ("head", args.head))}
+    tmp = Path(tempfile.mkdtemp(prefix="check_identity-"))
+    config = tmp / "pipeline_config.json"
+    config.write_text(json.dumps(_pipeline_config(), indent=2) + "\n")
+    hashes: dict[str, dict[str, str]] = {}
+    added = []
+    try:
+        for side, sha in shas.items():
+            checkout = tmp / side
+            _git("worktree", "add", "--detach", str(checkout), sha)
+            added.append(checkout)
+            hashes[side] = produce(checkout, config)
+        rows, ok = compare(hashes["base"], hashes["head"], args.expect_diff)
+        print(f"base {shas['base']}\nhead {shas['head']}\n")
+        print(f"{'file':<44} {'base':<12} {'head':<12} status")
+        for path, a, b, status in rows:
+            note = status
+            if status == "differs (expected)" and path.endswith(".csv") and "-" not in (a, b):
+                note += ": " + csv_changes(tmp / "base" / OUT / path, tmp / "head" / OUT / path)
+            print(f"{path:<44} {a[:12]:<12} {b[:12]:<12} {note}")
+        same = sum(status == "same" for *_, status in rows)
+        print(f"\n{same} of {len(rows)} files identical; {'OK' if ok else 'UNEXPECTED DIFFERENCES'}")
+        return 0 if ok else 1
+    finally:
+        for checkout in added:
+            _git("worktree", "remove", "--force", str(checkout))
+        _git("worktree", "prune")
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,12 +14,11 @@ experiments / cli  reproducible experiment drivers and command line
 
 __version__ = "0.1.0"
 
-from . import analytic, clicks, errors, fock, homodyne, modes, tomo
-from . import cli, experiments
+# cli is left out: ``python -m heraldsim.cli`` must find it unimported
+from . import analytic, clicks, errors, experiments, fock, homodyne, modes, tomo
 
 __all__ = [
     "analytic",
-    "cli",
     "clicks",
     "errors",
     "experiments",

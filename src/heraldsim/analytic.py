@@ -33,21 +33,6 @@ EXPANSION_MAX_X = 0.5
 
 
 @dataclass(frozen=True)
-class OpoParams:
-    """Source and detection parameters: trigger bandwidth (FWHM, Hz) and
-    overall intensity transmission."""
-
-    gamma: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise InvalidGamma(f"bandwidth must be positive and finite, got {self.gamma}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise OutOfRange(f"transmission must lie in [0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
 class PhotonDistribution:
     """Probabilities over Fock numbers 0..cutoff; validated on construction."""
 

@@ -6,7 +6,7 @@ Subcommands map one-to-one onto the experiment drivers:
     heraldsim sweep-delay  adapted-mode two-photon weight vs delay
     heraldsim sweep-fixed  fixed-mode photon weights vs delay
     heraldsim fock-panels  four analysis-mode reconstructions at one delay
-    heraldsim end-to-end   clicks -> pairs -> traces -> tomography
+    heraldsim end-to-end   clicks -> pairs -> quadratures -> tomography
     heraldsim reconstruct  tomography of an existing samples CSV
 
 Shared flags: --config (JSON file), --seed, --out, --samples.  On success

@@ -80,18 +80,6 @@ class ClickStream:
         return self.times.size
 
 
-@dataclass(frozen=True)
-class CoincidencePair:
-    """An accepted trigger pair; ``delta_t`` is t2 - t1 >= 0."""
-
-    t1: float
-    t2: float
-
-    @property
-    def delta_t(self) -> float:
-        return self.t2 - self.t1
-
-
 def synthesize_thermal_field(
     gamma: float, duration: float, dt_field: float, rng_seed: int
 ) -> FieldTrace:
@@ -232,7 +220,7 @@ def select_coincidences(
     window: float,
     dead_time: float = 500e-9,
     rng_seed: int = 0,
-) -> list[CoincidencePair]:
+) -> np.ndarray:
     """Split clicks 50/50 onto detectors A and B, then pair each A click
     with the next B click when t_B - t_A <= window.
 
@@ -240,6 +228,9 @@ def select_coincidences(
     the next pair's first click must satisfy t1 >= previous t2 + dead_time
     (both clicks of a blocked pair are discarded, as by a busy scope).
     Labeling is the only randomness; deterministic for a fixed seed.
+
+    Returns an (n, 2) array of (t1, t2) rows, t2 - t1 >= 0; shape (0, 2)
+    when no pair is accepted.
     """
     if window <= 0.0:
         raise OutOfRange(f"window must be positive, got {window}")
@@ -248,10 +239,12 @@ def select_coincidences(
     rng = np.random.default_rng(rng_seed)
     times = stream.times
     is_a = rng.uniform(0.0, 1.0, size=times.size) < 0.5
-    pairs: list[CoincidencePair] = []
+    pairs: list[tuple[float, float]] = []
     pending_a: deque[float] = deque()
     ready_at = -math.inf
-    for t, a_label in zip(times, is_a):
+    # Python floats: the loop visits every click, and numpy scalars cost
+    # more per step than the arithmetic they carry
+    for t, a_label in zip(times.tolist(), is_a.tolist()):
         if a_label:
             pending_a.append(t)
             continue
@@ -262,14 +255,9 @@ def select_coincidences(
             continue
         t1 = pending_a.popleft()
         if t1 >= ready_at:
-            pairs.append(CoincidencePair(t1=t1, t2=t))
+            pairs.append((t1, t))
             ready_at = t + dead_time
-    return pairs
-
-
-def write_click_stream_csv(stream: ClickStream, path: str) -> None:
-    """Click stream as CSV with a single column (time_seconds)."""
-    np.savetxt(path, stream.times, fmt="%.12g", header="time_seconds", comments="")
+    return np.array(pairs, dtype=float).reshape(-1, 2)
 
 
 def write_g2_csv(hist: G2Histogram, path: str, gamma: float | None = None) -> None:

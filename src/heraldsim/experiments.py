@@ -12,12 +12,14 @@ run_g2              pair-delay correlation of the simulated trigger beam
 run_delay_sweep     two-photon weight in the adapted mode vs herald delay
 run_fixed_mode_sweep  photon weights in the first-trigger mode vs delay
 run_fock_panels     reconstructed distributions in four analysis modes
-end_to_end          clicks -> pairs -> traces -> projections -> tomography
+end_to_end          clicks -> pairs -> adapted-mode quadratures -> tomography
 reconstruct_samples tomography of an existing quadrature CSV
 
 ``run_g2`` and ``end_to_end`` get their clicks from one helper,
 ``_click_stream``; both delay sweeps are ``_sweep`` with their own analysis
-mode and columns.
+mode and columns.  ``end_to_end`` draws each pair's (x, theta) from the
+joint two-mode sampler; trace synthesis and projection stay the library's
+reference path, which a test checks the driver against.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .fock import (
     reduce_to_mode,
     reduce_to_mode_pair,
 )
-from .homodyne import project_trace, sample_quadratures, synthesize_trace_batch
+from .homodyne import joint_sample_two_modes, sample_quadratures
 from .modes import (
     HeraldPair,
     ModeFunction,
@@ -72,8 +74,8 @@ from .tomo import MLConfig, MLResult, bootstrap_stderr, ml_diagonal
 # A field segment longer than this many samples is sharded to keep FFTs
 # and click buffers in memory; streams are concatenated afterwards.
 MAX_FIELD_SAMPLES_PER_SEGMENT = 4_000_000
-# Trace synthesis is chunked so a batch never holds more than this many
-# full-length photocurrent records at once.
+# Each delay bin's joint draws come in chunks of this many pairs with one
+# derived seed each; the chunking fixes the seed stream, not memory.
 MAX_TRACES_PER_CHUNK = 2048
 
 
@@ -247,7 +249,6 @@ def _fixed_lossy_distribution(ov: float, eta: float) -> PhotonDistribution:
 class _DelayScene:
     """Modes and lossy state for one herald delay."""
 
-    herald: HeraldPair
     g1: ModeFunction
     g2: ModeFunction
     f1: ModeFunction
@@ -269,14 +270,12 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     if delta_t == 0.0:
         register = ModeRegister(modes=(g1,))
         state = apply_loss_channel(build_heralded_state(register, g1, g1), config.eta)
-        return _DelayScene(herald=herald, g1=g1, g2=g1, f1=g1, f2=None, state=state, overlap=1.0)
+        return _DelayScene(g1=g1, g2=g1, f1=g1, f2=None, state=state, overlap=1.0)
     g2 = make_trigger_mode(herald.t2, config.gamma_hz, grid)
     f1, f2 = make_symmetric_antisymmetric(g1, g2)
     register = ModeRegister(modes=tuple(extend_orthonormal_basis([g1, g2], grid, 2)))
     state = apply_loss_channel(build_heralded_state(register, g1, g2), config.eta)
-    return _DelayScene(
-        herald=herald, g1=g1, g2=g2, f1=f1, f2=f2, state=state, overlap=overlap(g1, g2)
-    )
+    return _DelayScene(g1=g1, g2=g2, f1=f1, f2=f2, state=state, overlap=overlap(g1, g2))
 
 
 def _reconstruct(
@@ -454,11 +453,14 @@ def run_fock_panels(
 
 def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Full pipeline: trigger beam -> clicks -> coincidence pairs ->
-    per-pair homodyne traces -> mode projections -> per-delay-bin
-    tomography, compared against the analytic adapted-mode weights.
+    per-pair adapted-mode quadratures -> per-delay-bin tomography, compared
+    against the analytic adapted-mode weights.
 
     Pairs are grouped into delay bins of width ``delta_t_bin_ns``; each
     group is simulated with the analysis modes of its bin-center delay.
+    Each pair's (x, theta) is the f1 quadrature and phase of a joint draw
+    for the mode pair (f1, f2): what projecting a synthesized homodyne
+    trace onto f1 would return, to rounding, without synthesizing it.
     Bins holding fewer than ``min_pairs_per_bin`` pairs are skipped with a
     warning; if every bin is skipped, InsufficientPairs is raised.  Writes
     samples.csv (x, theta_rad, delta_t_ns) and report.json.
@@ -471,9 +473,9 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         dead_time=config.dead_time_ns * 1e-9,
         rng_seed=pair_seed,
     )
-    if not pairs:
+    if not len(pairs):
         raise InsufficientPairs("no coincidence pairs selected")
-    delays = np.array([p.delta_t for p in pairs])
+    delays = pairs[:, 1] - pairs[:, 0]
     bin_width = config.delta_t_bin_ns * 1e-9
     n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
     edges = bin_width * np.arange(n_bins + 1)
@@ -501,7 +503,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             bins_report.append(entry)
             continue
         scene = _build_scene(config, center_ns * 1e-9)
-        x_values, thetas = _traces_for_bin(scene, idx.size, bin_seeds[2 * b])
+        x_values, thetas = _adapted_quadratures(scene, idx.size, bin_seeds[2 * b])
         sample_rows.append(np.column_stack([x_values, thetas, delays[idx] * 1e9]))
         result, stderr = _reconstruct(x_values, config, bin_seeds[2 * b + 1])
         analytic = _pair_lossy_distributions(scene.overlap, config.eta)[0]
@@ -535,26 +537,18 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     return report
 
 
-def _traces_for_bin(scene: _DelayScene, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesize ``count`` traces for one delay bin and project onto f1.
-
-    Chunked so at most MAX_TRACES_PER_CHUNK full traces are alive at once;
-    only the projections and phases are kept.
-    """
-    x_out = np.empty(count)
-    theta_out = np.empty(count)
+def _adapted_quadratures(scene: _DelayScene, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` (x, theta) of the adapted mode f1 for one delay bin:
+    columns x1 and theta of joint draws for the mode pair (f1, f2), in
+    chunks of MAX_TRACES_PER_CHUNK with one derived seed each."""
     rho_pair = reduce_to_mode_pair(scene.state, scene.f1, scene.f2)
-    chunk_seeds = _derive_seeds(seed, int(math.ceil(count / MAX_TRACES_PER_CHUNK)))
-    done = 0
-    for chunk_seed in chunk_seeds:
-        n = min(MAX_TRACES_PER_CHUNK, count - done)
-        traces, _, thetas = synthesize_trace_batch(
-            rho_pair, scene.f1, scene.f2, scene.herald, n, chunk_seed
-        )
-        x_out[done : done + n] = project_trace(traces, scene.f1)
-        theta_out[done : done + n] = thetas
-        done += n
-    return x_out, theta_out
+    chunk = MAX_TRACES_PER_CHUNK
+    chunk_seeds = _derive_seeds(seed, int(math.ceil(count / chunk)))
+    draws = np.concatenate([
+        joint_sample_two_modes(rho_pair, min(chunk, count - k * chunk), chunk_seed)
+        for k, chunk_seed in enumerate(chunk_seeds)
+    ])
+    return draws[:, 0], draws[:, 2]
 
 
 def reconstruct_samples(

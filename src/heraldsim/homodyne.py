@@ -8,20 +8,22 @@ Fock-state quadrature densities are squared Hermite functions
 so <x**2> = (2n+1)/2 in Fock state n.  Samplers draw (x, theta) pairs with
 the local-oscillator phase theta uniform on [0, 2*pi); x follows the
 phase-conditional density Tr[rho |x,theta><x,theta|] via a tabulated
-inverse CDF (diagonal states) or cell-bounded rejection (states with
-coherences).
+inverse CDF (diagonal states) or cell-bounded rejection (single-mode states
+with coherences).  The joint two-mode sampler takes phase-independent
+states, which every heralded pair state is.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
 the two analysis modes are replaced by jointly drawn mode quadratures.
 Projecting a trace onto any normalized mode with  sum(mode*trace)*dt
-recovers that mode's quadrature statistics.
+recovers that mode's quadrature statistics.  It is the physical reference
+path: projecting onto the first analysis mode returns the joint draw's x1
+to rounding, so the end-to-end driver takes x1 from the joint sampler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .errors import (
     GridMismatch,
     InvalidDensity,
     ModesNotOrthogonal,
-    OutOfRange,
 )
 from .fock import check_density
 from .modes import HeraldPair, ModeFunction, TimeGrid
@@ -75,24 +76,6 @@ def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
         if p > 0.0:
             out += p * fock_quadrature_pdf(n, x)
     return out
-
-
-@dataclass(frozen=True)
-class QuadratureTrace:
-    """A synthesized homodyne record over an acquisition window."""
-
-    grid: TimeGrid
-    samples: np.ndarray = field(repr=False)
-    herald: HeraldPair
-    theta: float = 0.0
-    seed: int = -1
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=float).copy()
-        if s.shape != (self.grid.n_samples,):
-            raise GridMismatch("trace length does not match grid")
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
 
 
 def _tabulated_inverse_cdf(pdf_nodes: np.ndarray, xs: np.ndarray):
@@ -168,13 +151,22 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
     cell_bound = np.maximum(bound_nodes[1:], bound_nodes[:-1]) * REJECTION_GUARD
     propose = _cell_proposal(rng, xs, cell_bound * (xs[1] - xs[0]), cell_bound)
     dim = rho.shape[0]
-
-    def pdf_exact(xv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    parts = []
+    filled = 0
+    while filled < count:
+        # draw order per batch, which fixes the stream: cell, jitter, phase,
+        # then u; a point is kept when u * bound <= p(x | theta)
+        todo = count - filled
+        batch = max(int(todo * 1.5) + 16, 64)
+        (xv, tv), bound = propose(batch)
+        u = rng.uniform(0.0, 1.0, size=batch)
         psi = np.stack([hermite_function(n, xv) for n in range(dim)])
         w = psi * np.exp(1j * np.outer(np.arange(dim), tv))
-        return np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w))
-
-    return _rejection_sample(rng, count, propose, pdf_exact)
+        accept = u * bound <= np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w))
+        idx = np.nonzero(accept)[0][:todo]
+        parts.append(np.column_stack([xv[idx], tv[idx]]))
+        filled += idx.size
+    return np.concatenate(parts)
 
 
 def _cell_proposal(
@@ -196,49 +188,17 @@ def _cell_proposal(
     return propose
 
 
-def _rejection_sample(rng: np.random.Generator, count: int, propose, density) -> np.ndarray:
-    """Draw ``count`` points, shape (count, k), by rejection: keep a proposed
-    point when u * bound <= density(point) for u uniform on [0, 1)."""
-    parts = []
-    filled = 0
-    while filled < count:
-        todo = count - filled
-        batch = max(int(todo * 1.5) + 16, 64)
-        columns, bound = propose(batch)
-        accept = rng.uniform(0.0, 1.0, size=batch) * bound <= density(*columns)
-        idx = np.nonzero(accept)[0][:todo]
-        parts.append(np.column_stack([c[idx] for c in columns]))
-        filled += idx.size
-    return np.concatenate(parts)
-
-
-def _phase_blocks_2d(rho2: np.ndarray, d: int, centers: np.ndarray):
-    """Phase harmonics of the joint density on the cell-center grid."""
-    psi = np.stack([hermite_function(n, centers) for n in range(d)])  # (d, G)
-    r4 = rho2.reshape(d, d, d, d)  # indices (m, n, m', n')
-    totals = np.add.outer(np.arange(d), np.arange(d))  # m + n
-    blocks: dict[int, np.ndarray] = {}
-    # diffs[m, n, m', n'] = (m + n) - (m' + n'); the delta = 0 block is the
-    # phase average and |G_delta| bounds cover the conjugate pairs.
-    diffs = np.subtract.outer(totals, totals)
-    for delta in range(0, 2 * d - 1):
-        rm = r4 * (diffs == delta)
-        if not np.any(rm):
-            continue
-        g = np.einsum("mnop,ma,oa,nb,pb->ab", rm, psi, psi, psi, psi, optimize=True)
-        blocks[delta] = g
-    return blocks
-
-
 def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
     """Draw ``count`` joint quadrature triples (x1, x2, theta) of two modes
     measured with a shared local-oscillator phase.
 
     The joint density is evaluated on a 512 x 512 cell grid over
     [-8, 8]^2 and sampled by inverse CDF over the flattened grid (with
-    uniform jitter inside cells).  States whose coherences connect unequal
-    total photon number get the same per-cell bounded rejection treatment
-    as the 1-d sampler.
+    uniform jitter inside cells).  A shared phase theta rotates both modes
+    together, so the density is independent of theta exactly when every
+    coherence connects equal total photon numbers m + n.  Heralded pair
+    states, and Fock-diagonal states of either mode, are of that kind; any
+    other state raises InvalidDensity.
 
     Returns an array of shape (count, 3).  Deterministic for a fixed seed.
     """
@@ -249,38 +209,22 @@ def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.nd
     d = int(round(math.sqrt(rho2.shape[0])))
     if d * d != rho2.shape[0]:
         raise InvalidDensity(f"two-mode matrix dimension {rho2.shape[0]} is not a square")
+    r4 = rho2.reshape(d, d, d, d)  # indices (m, n, m', n')
+    totals = np.add.outer(np.arange(d), np.arange(d))  # m + n
+    same_total = np.subtract.outer(totals, totals) == 0
+    phase_dependent = float(np.max(np.abs(r4[~same_total]), initial=0.0))
+    if phase_dependent > 1e-12:
+        raise InvalidDensity(
+            f"coherence {phase_dependent:.2e} between unequal total photon numbers; "
+            "the joint sampler needs a phase-independent density"
+        )
     rng = np.random.default_rng(rng_seed)
     edges = np.linspace(-X_MAX, X_MAX, GRID_2D + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    blocks = _phase_blocks_2d(rho2, d, centers)
-    g0 = np.clip(blocks.get(0, np.zeros((GRID_2D, GRID_2D))).real, 0.0, None)
-    harmonic = {k: v for k, v in blocks.items() if k != 0 and np.max(np.abs(v)) > 1e-12}
-
-    if not harmonic:
-        return np.column_stack(_cell_proposal(rng, edges, g0, g0)(count)[0])
-
-    bound = (g0 + sum(2.0 * np.abs(g) for g in harmonic.values())) * REJECTION_GUARD
-    r4 = rho2.reshape(d, d, d, d)
-
-    def pdf_exact(x1v, x2v, tv):
-        psi1 = np.stack([hermite_function(n, x1v) for n in range(d)])
-        psi2 = np.stack([hermite_function(n, x2v) for n in range(d)])
-        ph = np.exp(1j * np.outer(np.arange(d), tv))
-        w1 = psi1 * ph
-        w2 = psi2 * ph
-        return np.real(
-            np.einsum("ms,ns,mnop,os,ps->s", w1.conj(), w2.conj(), r4, w1, w2, optimize=True)
-        )
-
-    return _rejection_sample(rng, count, _cell_proposal(rng, edges, bound, bound), pdf_exact)
-
-
-def vacuum_two_mode(n_max: int = 2) -> np.ndarray:
-    """Product vacuum of two modes on the (n_max+1)**2 product basis."""
-    d = n_max + 1
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    psi = np.stack([hermite_function(n, centers) for n in range(d)])  # (d, G)
+    g0 = np.einsum("mnop,ma,oa,nb,pb->ab", r4 * same_total, psi, psi, psi, psi, optimize=True)
+    g0 = np.clip(g0.real, 0.0, None)
+    return np.column_stack(_cell_proposal(rng, edges, g0, g0)(count)[0])
 
 
 def _check_analysis_pair(f1: ModeFunction, f2: ModeFunction) -> None:
@@ -293,29 +237,6 @@ def _check_analysis_pair(f1: ModeFunction, f2: ModeFunction) -> None:
         raise ModesNotOrthogonal(f"analysis modes overlap {ov:.2e} > 1e-9")
 
 
-def synthesize_trace(
-    rho2: np.ndarray,
-    f1: ModeFunction,
-    f2: ModeFunction,
-    herald: HeraldPair,
-    rng_seed: int,
-) -> QuadratureTrace:
-    """Synthesize one homodyne trace for a state of the (f1, f2) pair.
-
-    A white Gaussian record with per-sample standard deviation
-    sqrt(1/(2*dt)) carries vacuum statistics in every normalized mode; its
-    components along f1 and f2 are replaced by a joint draw from ``rho2``.
-    """
-    traces, quads, thetas = synthesize_trace_batch(rho2, f1, f2, herald, 1, rng_seed)
-    return QuadratureTrace(
-        grid=f1.grid,
-        samples=traces[0],
-        herald=herald,
-        theta=float(thetas[0]),
-        seed=rng_seed,
-    )
-
-
 def synthesize_trace_batch(
     rho2: np.ndarray,
     f1: ModeFunction,
@@ -326,6 +247,9 @@ def synthesize_trace_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized trace synthesis: (traces, quadrature pairs, phases).
 
+    A white Gaussian record with per-sample standard deviation
+    sqrt(1/(2*dt)) carries vacuum statistics in every normalized mode; its
+    components along f1 and f2 are replaced by a joint draw from ``rho2``.
     ``traces`` has shape (count, n_samples); row k carries the joint draw
     (quads[k, 0], quads[k, 1]) in modes (f1, f2) and vacuum elsewhere.
     """
@@ -344,43 +268,15 @@ def synthesize_trace_batch(
     return traces, joint[:, :2], joint[:, 2]
 
 
-def project_trace(trace: QuadratureTrace | np.ndarray, xi: ModeFunction, grid: TimeGrid | None = None) -> float | np.ndarray:
-    """Project a trace (or batch of trace rows) onto a normalized mode:
-    sum(xi * trace) * dt."""
-    if isinstance(trace, QuadratureTrace):
-        if trace.grid != xi.grid:
-            raise GridMismatch("trace and analysis mode on different grids")
-        return float(np.dot(trace.samples, xi.samples) * xi.grid.dt)
+def project_trace(traces: np.ndarray, xi: ModeFunction, grid: TimeGrid | None = None) -> np.ndarray:
+    """Project trace rows onto a normalized mode: sum(xi * trace) * dt.
+
+    ``grid``, when given, is the grid the traces were recorded on; it must
+    be the mode's.
+    """
     if grid is not None and grid != xi.grid:
         raise GridMismatch("trace and analysis mode on different grids")
-    arr = np.asarray(trace, dtype=float)
+    arr = np.asarray(traces, dtype=float)
     if arr.shape[-1] != xi.grid.n_samples:
         raise GridMismatch("trace length does not match analysis grid")
     return arr @ xi.samples * xi.grid.dt
-
-
-def write_trace_csv(trace: QuadratureTrace, path: str) -> None:
-    """Trace file: one header row (t_start, dt, n_samples, t1, t2, seed),
-    then one sample per line."""
-    header = (
-        "t_start,dt,n_samples,t1,t2,seed\n"
-        f"{trace.grid.t_start:.12g},{trace.grid.dt:.12g},{trace.grid.n_samples},"
-        f"{trace.herald.t1:.12g},{trace.herald.t2:.12g},{trace.seed}\n"
-        "sample"
-    )
-    np.savetxt(path, trace.samples, fmt="%.12g", header=header, comments="")
-
-
-def read_trace_csv(path: str) -> QuadratureTrace:
-    with open(path) as fh:
-        fh.readline()
-        t_start, dt, n_samples, t1, t2, seed = fh.readline().strip().split(",")
-        fh.readline()
-        samples = np.array([float(line) for line in fh if line.strip()])
-    grid = TimeGrid(t_start=float(t_start), dt=float(dt), n_samples=int(n_samples))
-    return QuadratureTrace(
-        grid=grid,
-        samples=samples,
-        herald=HeraldPair(t1=float(t1), t2=float(t2)),
-        seed=int(seed),
-    )

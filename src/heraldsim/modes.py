@@ -135,7 +135,7 @@ def _check_margin(t_i: float, gamma: float, grid: TimeGrid) -> None:
     margin = MARGIN_FACTOR / (math.pi * gamma)
     left = t_i - grid.t_start
     right = grid.t_end - t_i
-    if left < margin or right < margin:
+    if not (left >= margin and right >= margin):  # also catches a NaN herald time
         # truncated L2 mass outside the grid, each side carries exp(-2*pi*gamma*m)/2
         mu = math.pi * gamma
         mass = 0.5 * (math.exp(-2.0 * mu * max(left, 0.0)) + math.exp(-2.0 * mu * max(right, 0.0)))
@@ -296,14 +296,3 @@ def write_mode_csv(mode: ModeFunction, path: str) -> None:
     """Write a mode as CSV with columns (t_seconds, amplitude)."""
     data = np.column_stack([mode.grid.times(), mode.samples])
     np.savetxt(path, data, fmt="%.12g", delimiter=",", header="t_seconds,amplitude", comments="")
-
-
-def read_mode_csv(path: str) -> ModeFunction:
-    """Read a mode written by :func:`write_mode_csv`; grid is inferred."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    t = data[:, 0]
-    dt = float(t[1] - t[0])
-    grid = TimeGrid(t_start=float(t[0]), dt=dt, n_samples=len(t))
-    s = data[:, 1]
-    norm_sq = float(np.dot(s, s)) * dt
-    return ModeFunction(grid=grid, samples=s, normalized=abs(norm_sq - 1.0) <= 1e-9)

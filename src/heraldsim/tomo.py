@@ -23,14 +23,12 @@ the full density matrix (coherences included).
 
 from __future__ import annotations
 
-import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import PhotonDistribution
 from .errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
 from .homodyne import X_MAX, hermite_function
 
@@ -101,9 +99,6 @@ class MLResult:
     converged: bool
     cutoff: int
     ll_history: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
-
-    def distribution(self) -> PhotonDistribution:
-        return PhotonDistribution(self.probs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,10 +312,3 @@ def bootstrap_stderr(
     resampled = rng.multinomial(total, hist / total, size=n_boot).astype(float)
     reps = _em(resampled, pi, config)[0]
     return reps.std(axis=0, ddof=1)
-
-
-def fock_fidelity(dist: PhotonDistribution, n: int) -> float:
-    """Weight of Fock state n in a distribution (fidelity to |n><n|)."""
-    if n > dist.cutoff:
-        raise CutoffExceeded(f"Fock index {n} above distribution cutoff {dist.cutoff}")
-    return dist.p(n)

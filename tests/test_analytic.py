@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heraldsim.analytic import (
-    OpoParams,
     PhotonDistribution,
     apply_loss,
     fidelity_optimal,
@@ -242,18 +241,6 @@ class TestTwoPhotonWeightLossy:
 
 
 class TestParamTypes:
-    def test_opo_params_ok(self):
-        p = OpoParams(gamma=GAMMA, eta=ETA)
-        assert p.gamma == GAMMA and p.eta == ETA
-
-    def test_opo_params_bad_gamma(self):
-        with pytest.raises(InvalidGamma):
-            OpoParams(gamma=-1.0, eta=0.5)
-
-    def test_opo_params_bad_eta(self):
-        with pytest.raises(OutOfRange):
-            OpoParams(gamma=GAMMA, eta=1.5)
-
     def test_distribution_validation(self):
         with pytest.raises(OutOfRange):
             PhotonDistribution(np.array([0.5, 0.6]))

@@ -1,0 +1,71 @@
+"""The file comparison of scripts/check_identity.py, on small hash tables."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_identity.py"
+spec = importlib.util.spec_from_file_location("check_identity", SCRIPT)
+check_identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(check_identity)
+
+BASE = {
+    "default/g2/g2.csv": "aaa",
+    "default/end_to_end/samples.csv": "bbb",
+    "pipeline/end_to_end/samples.csv": "ccc",
+}
+
+
+def statuses(rows):
+    return {path: status for path, _, _, status in rows}
+
+
+def test_identical_tables_pass():
+    rows, ok = check_identity.compare(BASE, dict(BASE), [])
+    assert ok
+    assert set(statuses(rows).values()) == {"same"}
+
+
+def test_expected_difference_matches_every_run():
+    head = dict(BASE, **{"default/end_to_end/samples.csv": "xxx",
+                         "pipeline/end_to_end/samples.csv": "yyy"})
+    rows, ok = check_identity.compare(BASE, head, ["end_to_end/samples.csv"])
+    assert ok
+    assert statuses(rows) == {
+        "default/g2/g2.csv": "same",
+        "default/end_to_end/samples.csv": "differs (expected)",
+        "pipeline/end_to_end/samples.csv": "differs (expected)",
+    }
+
+
+def test_unexpected_difference_fails():
+    head = dict(BASE, **{"default/g2/g2.csv": "zzz"})
+    rows, ok = check_identity.compare(BASE, head, ["end_to_end/samples.csv"])
+    assert not ok
+    assert statuses(rows)["default/g2/g2.csv"] == "DIFFERS"
+
+
+def test_suffix_matches_whole_path_components():
+    head = dict(BASE, **{"default/g2/g2.csv": "zzz"})
+    _, ok = check_identity.compare(BASE, head, ["2.csv"])
+    assert not ok
+
+
+def test_file_on_one_side_fails():
+    head = dict(BASE)
+    del head["default/g2/g2.csv"]
+    head["default/g2/extra.json"] = "ddd"
+    rows, ok = check_identity.compare(BASE, head, [])
+    assert not ok
+    assert statuses(rows)["default/g2/g2.csv"] == "DIFFERS"
+    assert ("default/g2/extra.json", "-", "ddd", "DIFFERS") in rows
+
+
+def test_csv_changes_counts_rows_and_columns(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("x,theta_rad\n1.5,0.25\n2,0.5\n3,0.75\n")
+    b.write_text("x,theta_rad\n1.5000000000001,0.25\n2,0.5\n3,0.75\n")
+    assert check_identity.csv_changes(a, b) == (
+        "1 of 3 rows differ; largest change: x 1.0e-13"
+    )

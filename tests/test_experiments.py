@@ -9,6 +9,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,11 +21,17 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import heraldsim
 from heraldsim.analytic import two_photon_weight_lossy
 from heraldsim.cli import main
 from heraldsim.errors import InsufficientPairs, OutOfRange
 from heraldsim.experiments import (
+    MAX_TRACES_PER_CHUNK,
     ExperimentConfig,
+    _adapted_quadratures,
+    _build_scene,
+    _derive_seeds,
+    _herald_for_delay,
     config_hash,
     end_to_end,
     load_config,
@@ -33,8 +42,8 @@ from heraldsim.experiments import (
     run_g2,
     save_config,
 )
-from heraldsim.fock import density_matrix_from_json
-from heraldsim.homodyne import sample_quadratures
+from heraldsim.fock import density_matrix_from_json, reduce_to_mode_pair
+from heraldsim.homodyne import project_trace, sample_quadratures, synthesize_trace_batch
 
 from conftest import ETA, GAMMA
 
@@ -324,6 +333,27 @@ class TestEndToEnd:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
+    def test_quadratures_match_trace_projection(self):
+        # the reference path: synthesize each chunk's traces with the
+        # driver's chunk seeds and project them onto f1
+        center = 20.5 * E2E_CFG.delta_t_bin_ns * 1e-9  # centre of delay bin 20
+        scene = _build_scene(E2E_CFG, center)
+        count = MAX_TRACES_PER_CHUNK + 300  # two chunks
+        x, theta = _adapted_quadratures(scene, count, 2024)
+        rho_pair = reduce_to_mode_pair(scene.state, scene.f1, scene.f2)
+        herald = _herald_for_delay(E2E_CFG, center)
+        projected, phases = [], []
+        for k, chunk_seed in enumerate(_derive_seeds(2024, 2)):
+            n = min(MAX_TRACES_PER_CHUNK, count - k * MAX_TRACES_PER_CHUNK)
+            traces, _, th = synthesize_trace_batch(
+                rho_pair, scene.f1, scene.f2, herald, n, chunk_seed
+            )
+            projected.append(project_trace(traces, scene.f1))
+            phases.append(th)
+        assert x.shape == theta.shape == (count,)
+        assert np.max(np.abs(x - np.concatenate(projected))) <= 1e-12
+        np.testing.assert_array_equal(theta, np.concatenate(phases))
+
     def test_insufficient_pairs(self, tmp_path):
         sparse = dataclasses.replace(
             E2E_CFG, end_to_end_duration_s=2e-4, min_pairs_per_bin=5000
@@ -480,6 +510,27 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "rng_seed" in err["message"]
+
+    def test_nan_delay_error_json(self, tmp_path, capsys):
+        rc = main(["fock-panels", "--delay-ns", "nan", "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "MarginTooSmall"
+
+    def test_python_m_error_is_one_json_line(self, tmp_path):
+        # ``python -m heraldsim.cli`` imports the package first; if that
+        # import loaded heraldsim.cli, runpy would warn on stderr
+        src = str(Path(heraldsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "heraldsim.cli",
+             "reconstruct", str(tmp_path / "nope.csv"), "--out", str(tmp_path)],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"]["type"] == "FileNotFoundError"
 
     def test_seed_beyond_64_bits_runs(self, tmp_path, capsys):
         csv = write_sample_csv(tmp_path / "samples.csv", count=2000)

@@ -25,19 +25,14 @@ from heraldsim.errors import (
 from heraldsim.fock import ModeRegister, apply_loss_channel, build_heralded_state, reduce_to_mode_pair
 from heraldsim.homodyne import (
     MAX_FOCK,
-    QuadratureTrace,
     X_MAX,
     fock_quadrature_pdf,
     hermite_function,
     joint_sample_two_modes,
     mixture_pdf,
     project_trace,
-    read_trace_csv,
     sample_quadratures,
-    synthesize_trace,
     synthesize_trace_batch,
-    vacuum_two_mode,
-    write_trace_csv,
 )
 from heraldsim.modes import (
     HeraldPair,
@@ -56,6 +51,14 @@ MIXTURE_AT_0 = 0.195435271741
 
 # 1% two-sided Kolmogorov-Smirnov critical value: D * sqrt(N) < 1.628
 KS_CRIT_1PC = 1.628
+
+
+def vacuum_two_mode(n_max: int = 2) -> np.ndarray:
+    """Product vacuum of two modes on the (n_max+1)**2 product basis."""
+    d = n_max + 1
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
 
 
 def ks_statistic(samples: np.ndarray, dist: PhotonDistribution) -> float:
@@ -200,17 +203,13 @@ class TestJointSampling:
         d = ks_statistic(samples[:, 0], dist)
         assert d * math.sqrt(samples.shape[0]) < KS_CRIT_1PC
 
-    def test_coherent_superposition_rejection_branch(self):
+    def test_coherent_superposition_rejected(self):
         # (|00> + |10>)/sqrt(2): mode 1 holds a coherence between unequal
-        # photon numbers, so the joint sampler takes its rejection branch;
-        # <x1 | theta> = cos(theta)/sqrt(2) and mode 2 stays in vacuum
+        # total photon numbers, so the joint density depends on the phase
         psi = np.zeros(9)
         psi[[0, 3]] = 1.0 / math.sqrt(2.0)
-        samples = joint_sample_two_modes(np.outer(psi, psi), 200_000, rng_seed=23)
-        x1, x2, theta = samples.T
-        assert np.mean(x1 * np.cos(theta)) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=0.01)
-        assert np.var(x2) == pytest.approx(0.5, abs=0.01)
-        assert abs(np.corrcoef(x1, x2)[0, 1]) < 0.02
+        with pytest.raises(InvalidDensity, match="unequal total photon numbers"):
+            joint_sample_two_modes(np.outer(psi, psi), 100, rng_seed=23)
 
     def test_deterministic(self):
         a = joint_sample_two_modes(vacuum_two_mode(), 500, rng_seed=5)
@@ -256,14 +255,6 @@ class TestTraceSynthesis:
         assert np.var(v) == pytest.approx(0.5, abs=0.03)
         assert np.mean(v) == pytest.approx(0.0, abs=0.03)
 
-    def test_single_trace_matches_batch(self, scene):
-        g1, g2, f1, f2, rho2, herald = scene
-        tr = synthesize_trace(rho2, f1, f2, herald, rng_seed=33)
-        traces, quads, thetas = synthesize_trace_batch(rho2, f1, f2, herald, 1, rng_seed=33)
-        np.testing.assert_array_equal(tr.samples, traces[0])
-        assert tr.theta == float(thetas[0])
-        assert tr.herald == herald
-
     def test_deterministic(self, scene):
         g1, g2, f1, f2, rho2, herald = scene
         a, qa, _ = synthesize_trace_batch(rho2, f1, f2, herald, 8, rng_seed=34)
@@ -285,35 +276,13 @@ class TestTraceSynthesis:
 
     def test_projection_grid_guard(self, grid, scene):
         g1, g2, f1, f2, rho2, herald = scene
-        tr = synthesize_trace(rho2, f1, f2, herald, rng_seed=37)
+        traces, *_ = synthesize_trace_batch(rho2, f1, f2, herald, 2, rng_seed=37)
         from heraldsim.modes import default_grid
 
-        other = make_trigger_mode(MID, GAMMA, default_grid(dt=0.2e-9))
+        other = default_grid(dt=0.2e-9)
         with pytest.raises(GridMismatch):
-            project_trace(tr, other)
-
-
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path, grid, pair40):
-        g1, g2 = pair40
-        f1, f2 = make_symmetric_antisymmetric(g1, g2)
-        herald = HeraldPair(*herald_times(40e-9))
-        tr = synthesize_trace(vacuum_two_mode(), f1, f2, herald, rng_seed=41)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(tr, str(path))
-        back = read_trace_csv(str(path))
-        assert back.grid.n_samples == tr.grid.n_samples
-        assert back.grid.dt == pytest.approx(tr.grid.dt, rel=1e-10)
-        assert back.herald.t1 == pytest.approx(tr.herald.t1, rel=1e-10)
-        assert back.herald.t2 == pytest.approx(tr.herald.t2, rel=1e-10)
-        assert back.seed == tr.seed
-        np.testing.assert_allclose(back.samples, tr.samples, rtol=1e-10, atol=1e-18)
-
-    def test_header(self, tmp_path, pair40):
-        g1, g2 = pair40
-        f1, f2 = make_symmetric_antisymmetric(g1, g2)
-        herald = HeraldPair(*herald_times(40e-9))
-        tr = synthesize_trace(vacuum_two_mode(), f1, f2, herald, rng_seed=42)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(tr, str(path))
-        assert path.read_text().splitlines()[0] == "t_start,dt,n_samples,t1,t2,seed"
+            project_trace(traces, f1, grid=other)
+        with pytest.raises(GridMismatch):
+            project_trace(traces[:, :-1], f1)
+        with pytest.raises(GridMismatch):
+            project_trace(traces, make_trigger_mode(MID, GAMMA, other))

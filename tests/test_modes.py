@@ -30,7 +30,6 @@ from heraldsim.modes import (
     make_trigger_mode,
     overlap,
     overlap_closed_form,
-    read_mode_csv,
     write_mode_csv,
 )
 
@@ -97,6 +96,13 @@ class TestTriggerMode:
             make_trigger_mode(10e-9, GAMMA, grid)
         with pytest.raises(MarginTooSmall):
             make_trigger_mode(495e-9, GAMMA, grid)
+
+    @pytest.mark.parametrize("t_i", [math.nan, math.inf, -math.inf])
+    def test_non_finite_herald_time(self, t_i, grid):
+        # a NaN time fails every comparison, so the guard must not rely on
+        # one being true
+        with pytest.raises(MarginTooSmall):
+            make_trigger_mode(t_i, GAMMA, grid)
 
     def test_samples_read_only(self, grid):
         m = make_trigger_mode(MID, GAMMA, grid)
@@ -235,11 +241,10 @@ class TestModeCsv:
         m = make_trigger_mode(MID, GAMMA, grid)
         path = tmp_path / "mode.csv"
         write_mode_csv(m, str(path))
-        back = read_mode_csv(str(path))
-        assert back.grid.n_samples == grid.n_samples
-        assert back.grid.dt == pytest.approx(grid.dt, rel=1e-10)
-        np.testing.assert_allclose(back.samples, m.samples, rtol=1e-10)
-        assert back.normalized
+        t, amplitude = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+        np.testing.assert_allclose(t, grid.times(), rtol=1e-10)
+        np.testing.assert_allclose(amplitude, m.samples, rtol=1e-10)
+        assert np.dot(amplitude, amplitude) * grid.dt == pytest.approx(1.0, abs=1e-9)
 
     def test_header(self, tmp_path, grid):
         m = make_trigger_mode(MID, GAMMA, grid)

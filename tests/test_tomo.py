@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from heraldsim.analytic import PhotonDistribution
 from heraldsim.errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
 from heraldsim.homodyne import X_MAX, sample_quadratures
 from heraldsim.tomo import (
@@ -18,7 +17,6 @@ from heraldsim.tomo import (
     _histogram,
     bootstrap_stderr,
     build_povm,
-    fock_fidelity,
     ml_diagonal,
     ml_full,
 )
@@ -302,18 +300,6 @@ class TestBootstrapStderr:
     def test_needs_two_replicates(self, n_boot):
         with pytest.raises(OutOfRange, match="at least 2"):
             bootstrap_stderr(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), n_boot=n_boot)
-
-
-class TestFockFidelity:
-    def test_reads_distribution(self):
-        d = PhotonDistribution(np.array([0.1, 0.2, 0.7]))
-        assert fock_fidelity(d, 2) == pytest.approx(0.7)
-        assert fock_fidelity(d, 0) == pytest.approx(0.1)
-
-    def test_cutoff_guard(self):
-        d = PhotonDistribution(np.array([0.5, 0.5]))
-        with pytest.raises(CutoffExceeded):
-            fock_fidelity(d, 2)
 
 
 class TestMlConfig:
