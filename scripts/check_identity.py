@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Check that two commits write the same artifacts, file by file.
 
-Both commits are checked out with ``git worktree`` under a temporary
-directory (removed afterwards).  In each checkout, with the same relative
+Both commits are exported with ``git archive`` into a temporary
+directory (removed afterwards), so each side runs only its committed
+files.  In each checkout, with the same relative
 output paths, this runs
 
     default   scripts/reproduce_figures.py            (default config)
@@ -28,11 +29,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -43,10 +46,23 @@ PIPELINE_SEED = 7
 CLI = "import sys; from heraldsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _git(*args: str) -> str:
+def rev_parse(rev: str) -> str:
+    """The full sha of commit ``rev``."""
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout.strip()
+
+
+def export(sha: str, dest: Path) -> Path:
+    """Write the files of commit ``sha`` under ``dest``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
 
 
 def _pipeline_config() -> dict:
@@ -139,19 +155,14 @@ def main() -> int:
         help="a file allowed to differ (matched as a path suffix); repeatable",
     )
     args = parser.parse_args()
-    shas = {side: _git("rev-parse", "--verify", f"{rev}^{{commit}}")
-            for side, rev in (("base", args.base), ("head", args.head))}
+    shas = {side: rev_parse(rev) for side, rev in (("base", args.base), ("head", args.head))}
     tmp = Path(tempfile.mkdtemp(prefix="check_identity-"))
     config = tmp / "pipeline_config.json"
     config.write_text(json.dumps(_pipeline_config(), indent=2) + "\n")
     hashes: dict[str, dict[str, str]] = {}
-    added = []
     try:
         for side, sha in shas.items():
-            checkout = tmp / side
-            _git("worktree", "add", "--detach", str(checkout), sha)
-            added.append(checkout)
-            hashes[side] = produce(checkout, config)
+            hashes[side] = produce(export(sha, tmp / side), config)
         rows, ok = compare(hashes["base"], hashes["head"], args.expect_diff)
         print(f"base {shas['base']}\nhead {shas['head']}\n")
         print(f"{'file':<44} {'base':<12} {'head':<12} status")
@@ -164,9 +175,6 @@ def main() -> int:
         print(f"\n{same} of {len(rows)} files identical; {'OK' if ok else 'UNEXPECTED DIFFERENCES'}")
         return 0 if ok else 1
     finally:
-        for checkout in added:
-            _git("worktree", "remove", "--force", str(checkout))
-        _git("worktree", "prune")
         shutil.rmtree(tmp, ignore_errors=True)
 
 

@@ -16,8 +16,9 @@ end_to_end          clicks -> pairs -> adapted-mode quadratures -> tomography
 reconstruct_samples tomography of an existing quadrature CSV
 
 ``run_g2`` and ``end_to_end`` get their clicks from one helper,
-``_click_stream``; both delay sweeps are ``_sweep`` with their own analysis
-mode and columns.  ``end_to_end`` draws each pair's (x, theta) from the
+``_click_stream``, which makes one trigger field in chunks and thins each
+chunk as it is made; both delay sweeps are ``_sweep`` with their own
+analysis mode and columns.  ``end_to_end`` draws each pair's (x, theta) from the
 joint two-mode sampler; trace synthesis and projection stay the library's
 reference path, which a test checks the driver against.
 """
@@ -41,7 +42,6 @@ from . import __version__
 from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mode_distribution, g2_closed_form
 from .clicks import (
     ClickStream,
-    concatenate_streams,
     g2_histogram,
     sample_clicks,
     select_coincidences,
@@ -71,9 +71,10 @@ from .modes import (
 )
 from .tomo import MLConfig, MLResult, bootstrap_stderr, ml_diagonal
 
-# A field segment longer than this many samples is sharded to keep FFTs
-# and click buffers in memory; streams are concatenated afterwards.
-MAX_FIELD_SAMPLES_PER_SEGMENT = 4_000_000
+# The trigger field is made and thinned in chunks of at most this many
+# samples, split evenly, each continuing the last; it bounds memory, and
+# the chunking fixes the seed stream.
+FIELD_CHUNK_SAMPLES = 2**18
 # Each delay bin's joint draws come in chunks of this many pairs with one
 # derived seed each; the chunking fixes the seed stream, not memory.
 MAX_TRACES_PER_CHUNK = 2048
@@ -288,26 +289,40 @@ def _reconstruct(
 
 
 def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
-    """Trigger-beam clicks over ``duration`` seconds: (stream, segments, spare seed).
+    """Trigger-beam clicks over ``duration`` seconds: (stream, chunks, spare seed).
 
-    The field is synthesized in segments of at most
-    MAX_FIELD_SAMPLES_PER_SEGMENT samples, each thinned to clicks.  The
-    spare seed feeds the caller's next random step.
+    One field is synthesized in even chunks of at most FIELD_CHUNK_SAMPLES
+    samples (more on very fine grids, see below), each continuing the
+    recursion state of the one before, so the chunks join without seams;
+    each chunk is thinned to clicks and dropped before the next is made.
+    The spare seed feeds the caller's next random step.
     """
     dt_field = config.field_dt_ns * 1e-9
-    segment = duration
-    if duration / dt_field > MAX_FIELD_SAMPLES_PER_SEGMENT:
-        segment = MAX_FIELD_SAMPLES_PER_SEGMENT * dt_field
-    n_segments = int(math.ceil(duration / segment))
+    n_samples = int(round(duration / dt_field))
+    # one chunk at least, so a too-short duration raises DurationTooShort;
+    # on very fine grids fewer, longer chunks, as a fresh field (the first
+    # chunk) must span 100/gamma: every chunk holds at least min_chunk
+    # samples, one more than that span against rounding
+    min_chunk = math.ceil(100.0 / (config.gamma_hz * dt_field)) + 1
+    n_chunks = max(1, min(-(-n_samples // FIELD_CHUNK_SAMPLES), n_samples // min_chunk))
+    bounds = [n_samples * k // n_chunks for k in range(n_chunks + 1)]
     # 2k: field, 2k + 1: thinning; seeds are a prefix-stable sequence, so
-    # the spare last seed leaves the segment seeds unchanged
-    seeds = _derive_seeds(config.rng_seed, 2 * n_segments + 1)
-    streams = []
-    for k in range(n_segments):
-        field = synthesize_thermal_field(config.gamma_hz, segment, dt_field, seeds[2 * k])
-        streams.append(sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1]))
-        del field  # a segment holds up to 4 M samples; free it before the next
-    return concatenate_streams(streams), n_segments, seeds[-1]
+    # the spare last seed leaves the chunk seeds unchanged
+    seeds = _derive_seeds(config.rng_seed, 2 * n_chunks + 1)
+    state = None
+    times = []
+    for k in range(n_chunks):
+        size = bounds[k + 1] - bounds[k]
+        field = synthesize_thermal_field(
+            config.gamma_hz, size * dt_field, dt_field, seeds[2 * k], state
+        )
+        state = field.state
+        clicks = sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1])
+        times.append(clicks.times + bounds[k] * dt_field)
+    stream = ClickStream(
+        times=np.concatenate(times), duration=n_samples * dt_field, mean_rate=config.mean_rate_hz
+    )
+    return stream, n_chunks, seeds[-1]
 
 
 def _sweep(
@@ -349,7 +364,7 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     manifest.  Returns the summary dict.
     """
     out = _prepare_out_dir(config, out_dir, "g2")
-    stream, n_segments, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
+    stream, n_chunks, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
     hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)
     deviation = np.abs(hist.g2 - theory)
@@ -357,7 +372,8 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     write_g2_csv(hist, csv_path, gamma=config.gamma_hz)
     summary = {
         "n_clicks": int(len(stream)),
-        "n_segments": n_segments,
+        # the number of field chunks
+        "n_segments": n_chunks,
         "duration_s": stream.duration,
         "g2_zero": float(hist.g2[0]),
         "max_abs_deviation": float(deviation.max()),

@@ -42,7 +42,7 @@ class MLConfig:
     """Reconstruction settings: Fock cutoff and stopping rule."""
 
     cutoff: int = 5
-    max_iters: int = 2000
+    max_iters: int = 10_000
     tol: float = 1e-10
     n_bins: int = 256
 

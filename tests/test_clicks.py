@@ -16,7 +16,9 @@ from scipy import stats
 from heraldsim.analytic import g2_closed_form
 from heraldsim.clicks import (
     ClickStream,
-    concatenate_streams,
+    _complex_normals,
+    _field_recursion,
+    _stationary_covariance,
     g2_histogram,
     sample_clicks,
     select_coincidences,
@@ -35,6 +37,16 @@ from heraldsim.modes import overlap_closed_form
 from conftest import GAMMA
 
 DT_FIELD = 0.5e-9
+# pi*gamma*dt at the ResolutionTooCoarse limit and on the default grid
+MU_DT = (math.pi / 20.0, math.pi * GAMMA * DT_FIELD)
+
+
+def impulse_response(mu_dt: float) -> tuple[float, float, np.ndarray]:
+    """(phi, sigma, psi) with x_k = sigma * sum_j psi_j e_{k-j} for
+    (1 - phi B)**2 x = sigma (1 + theta B) e, summed far enough to vanish."""
+    phi, theta, sigma = _field_recursion(mu_dt)
+    j = np.arange(int(80.0 / mu_dt))
+    return phi, sigma, phi ** (j - 1.0) * ((j + 1) * phi + j * theta)
 
 
 def poisson_stream(rate: float, duration: float, seed: int) -> ClickStream:
@@ -103,6 +115,65 @@ class TestThermalField:
     def test_bad_gamma(self):
         with pytest.raises(OutOfRange):
             synthesize_thermal_field(-1.0, 1e-4, DT_FIELD, rng_seed=1)
+
+    @pytest.mark.parametrize("mu_dt", MU_DT, ids=["coarse_limit", "default"])
+    def test_recursion_autocovariance_exact(self, mu_dt):
+        # sigma**2 * sum_j psi_j psi_{j+k} against (1 + a k) phi**k
+        phi, sigma, psi = impulse_response(mu_dt)
+        assert psi[0] == pytest.approx(1.0, abs=1e-15)
+        for k in range(40):
+            sampled = sigma**2 * np.dot(psi[: psi.size - k], psi[k:])
+            assert sampled == pytest.approx((1.0 + mu_dt * k) * phi**k, abs=1e-12)
+
+    @pytest.mark.parametrize("mu_dt", MU_DT, ids=["coarse_limit", "default"])
+    def test_stationary_start_covariance(self, mu_dt):
+        # the start draw's covariance of (e_{-1}, x_{-1}, x_{-2}) from the
+        # impulse response
+        _, sigma, psi = impulse_response(mu_dt)
+        var = sigma**2 * np.dot(psi, psi)
+        lag1 = sigma**2 * np.dot(psi[:-1], psi[1:])
+        expected = [[1.0, sigma * psi[0], 0.0], [sigma * psi[0], var, lag1], [0.0, lag1, var]]
+        np.testing.assert_allclose(_stationary_covariance(mu_dt), expected, rtol=0.0, atol=1e-12)
+
+    def test_chunks_match_plain_recursion(self):
+        # three chunks continuing one another equal one Python loop of
+        # x_k = 2 phi x_{k-1} - phi**2 x_{k-2} + sigma (e_k + theta e_{k-1})
+        # over the same noise, with no seam where a chunk starts
+        e_prev, y_prev, x_prev = 0.3 - 0.2j, 0.05 + 0.01j, -0.7 + 0.4j
+        sizes, seeds = (4001, 517, 1500), (21, 22, 23)
+        state, parts = (e_prev, y_prev, x_prev), []
+        for size, seed in zip(sizes, seeds):
+            field = synthesize_thermal_field(GAMMA, size * DT_FIELD, DT_FIELD, seed, state)
+            state = field.state
+            parts.append(field.amplitude)
+        streamed = np.concatenate(parts)
+        noise = np.concatenate([
+            _complex_normals(np.random.default_rng(seed), size) for size, seed in zip(sizes, seeds)
+        ])
+        phi, theta, sigma = _field_recursion(math.pi * GAMMA * DT_FIELD)
+        x1, x2 = x_prev, (x_prev - y_prev) / phi
+        reference = []
+        for e in noise.tolist():
+            x = 2.0 * phi * x1 - phi * phi * x2 + sigma * (e + theta * e_prev)
+            reference.append(x)
+            x1, x2, e_prev = x, x1, e
+        np.testing.assert_allclose(streamed, reference, rtol=0.0, atol=1e-12)
+        assert abs(state[2] - reference[-1]) < 1e-12
+
+    def test_stationary_start(self):
+        # a fresh field starts in the stationary law: the first samples
+        # already have unit mean intensity (a zero start gives ~0.007 at
+        # sample 0) and lag-1 covariance R_1
+        dt = 1.0 / (20.0 * GAMMA)
+        heads = np.array([
+            synthesize_thermal_field(GAMMA, 100.0 / GAMMA, dt, seed).amplitude[:8]
+            for seed in range(1000)
+        ])
+        intensity = np.mean(np.abs(heads) ** 2, axis=0)
+        # |x_k|**2 is exponential: stderr 1/sqrt(1000) per sample
+        np.testing.assert_allclose(intensity, 1.0, atol=5.0 / math.sqrt(1000))
+        lag1 = np.mean(heads[:, 1] * np.conj(heads[:, 0])).real
+        assert lag1 == pytest.approx((1.0 + math.pi / 20.0) * math.exp(-math.pi / 20.0), abs=0.16)
 
 
 class TestSampleClicks:
@@ -183,6 +254,16 @@ class TestSelectCoincidences:
         with pytest.raises(OutOfRange):
             select_coincidences(stream, window=65e-9, dead_time=-1e-9)
 
+    def test_nan_window_rejected(self):
+        stream = poisson_stream(5e7, 1e-4, seed=112)
+        with pytest.raises(OutOfRange):
+            select_coincidences(stream, window=math.nan)
+
+    def test_nan_dead_time_rejected(self):
+        stream = poisson_stream(5e7, 1e-4, seed=112)
+        with pytest.raises(OutOfRange):
+            select_coincidences(stream, window=65e-9, dead_time=math.nan)
+
     def test_pair_invariants(self):
         stream = poisson_stream(5e7, 2e-3, seed=113)
         window, dead = 65e-9, 500e-9
@@ -229,20 +310,6 @@ class TestSelectCoincidences:
         ratio = near / far
         sigma = ratio * math.sqrt(1.0 / near + 1.0 / far)
         assert abs(ratio - expected) < 4.0 * sigma + 0.05 * expected
-
-
-class TestConcatenateStreams:
-    def test_offsets_accumulate(self):
-        a = ClickStream(times=np.array([1e-6, 2e-6]), duration=1e-5, mean_rate=2e5)
-        b = ClickStream(times=np.array([3e-6]), duration=1e-5, mean_rate=1e5)
-        joined = concatenate_streams([a, b])
-        np.testing.assert_allclose(joined.times, [1e-6, 2e-6, 1.3e-5])
-        assert joined.duration == pytest.approx(2e-5)
-        assert len(joined) == 3
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(OutOfRange):
-            concatenate_streams([])
 
 
 class TestStreamValidation:

@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -26,10 +27,12 @@ from heraldsim.analytic import two_photon_weight_lossy
 from heraldsim.cli import main
 from heraldsim.errors import InsufficientPairs, OutOfRange
 from heraldsim.experiments import (
+    FIELD_CHUNK_SAMPLES,
     MAX_TRACES_PER_CHUNK,
     ExperimentConfig,
     _adapted_quadratures,
     _build_scene,
+    _click_stream,
     _derive_seeds,
     _herald_for_delay,
     config_hash,
@@ -269,6 +272,44 @@ class TestRunG2:
         # the summary embeds the absolute csv path, which differs by design
         sa.pop("csv"), sb.pop("csv")
         assert sa == sb
+
+
+class TestClickStream:
+    def test_chunks_cover_duration(self):
+        dt = TINY.field_dt_ns * 1e-9
+        n_samples = 2 * FIELD_CHUNK_SAMPLES + 3
+        stream, n_chunks, _ = _click_stream(TINY, n_samples * dt)
+        assert n_chunks == 3
+        assert stream.duration == pytest.approx(n_samples * dt, rel=1e-15)
+        # clicks spread over every chunk, the last included
+        assert stream.times[-1] > (n_samples - 0.01 * FIELD_CHUNK_SAMPLES) * dt
+
+    def test_fine_grid_chunks_span_a_fresh_field(self):
+        # at 4 ps, 100/gamma is about 471,698.1 samples, more than one
+        # FIELD_CHUNK_SAMPLES; two such spans must stay one chunk, as two
+        # halves would each fall a fraction of a sample short of 100/gamma
+        config = dataclasses.replace(TINY, field_dt_ns=0.004)
+        duration = 2 * 100.0 / config.gamma_hz
+        stream, n_chunks, _ = _click_stream(config, duration)
+        assert n_chunks == 1
+        assert stream.duration == pytest.approx(duration, abs=config.field_dt_ns * 1e-9)
+
+    def test_peak_memory_does_not_grow_with_duration(self):
+        # the field lives one chunk at a time: a six times longer stream
+        # adds only its click times to the peak
+        dt = TINY.field_dt_ns * 1e-9
+        peaks, lengths = [], []
+        for n_chunks in (2, 12):
+            tracemalloc.start()
+            try:
+                stream, _, _ = _click_stream(TINY, n_chunks * FIELD_CHUNK_SAMPLES * dt)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            lengths.append(len(stream))
+        chunk_bytes = 16 * FIELD_CHUNK_SAMPLES  # one complex128 chunk
+        assert peaks[0] < 5 * chunk_bytes
+        assert peaks[1] < peaks[0] + 32 * lengths[1]
 
 
 class TestFockPanels:

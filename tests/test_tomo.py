@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
+from heraldsim.analytic import apply_loss, fixed_mode_distribution
 from heraldsim.errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
 from heraldsim.homodyne import X_MAX, sample_quadratures
+from heraldsim.modes import overlap_closed_form
 from heraldsim.tomo import (
     MLConfig,
     _em,
@@ -20,6 +22,8 @@ from heraldsim.tomo import (
     ml_diagonal,
     ml_full,
 )
+
+from conftest import ETA, GAMMA
 
 LOSSY_TWO_PHOTON = np.array([0.0576, 0.3648, 0.5776])
 
@@ -225,6 +229,19 @@ class TestEmKernel:
         with pytest.raises(InvalidDensity, match="row 1"):
             _em(np.stack([np.full(64, 20.0), bad]), pi, config)
 
+    def test_default_budget_reaches_the_stopping_rule(self):
+        # bootstrap replicate 14 of the default fixed-mode sweep at 30 ns
+        # (mode g1, seeds of config seed 5) needs 2,079 iterations; the old
+        # 2,000-iteration budget returned it unconverged
+        probs = apply_loss(fixed_mode_distribution(overlap_closed_form(30e-9, GAMMA)), ETA).probs
+        hist, pi = _histogram(draws(probs, 100_000, seed=6777710724561418609), MLConfig())
+        rng = np.random.default_rng(8108440146360779095)
+        replicate = rng.multinomial(100_000, hist / 100_000, size=16)[14].astype(float)
+        _, _, iters, converged, _ = _em(replicate[None, :], pi, MLConfig())
+        assert converged[0] and 2_000 < iters[0] <= MLConfig().max_iters
+        _, _, _, converged, _ = _em(replicate[None, :], pi, MLConfig(max_iters=2_000))
+        assert not converged[0]
+
 
 class TestMlFull:
     def test_recovers_vacuum_matrix(self):
@@ -305,7 +322,7 @@ class TestBootstrapStderr:
 class TestMlConfig:
     def test_defaults(self):
         cfg = MLConfig()
-        assert cfg.cutoff == 5 and cfg.n_bins == 256
+        assert cfg.cutoff == 5 and cfg.n_bins == 256 and cfg.max_iters == 10_000
 
     def test_guards(self):
         with pytest.raises(CutoffExceeded):
