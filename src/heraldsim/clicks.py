@@ -56,7 +56,6 @@ class FieldTrace:
 
     grid: TimeGrid
     amplitude: np.ndarray = field(repr=False)
-    gamma: float = 0.0
     state: tuple[complex, complex, complex] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -227,7 +226,7 @@ def synthesize_thermal_field(
     y_last = _scan(noise, mu_dt, y_prev)
     x_last = _scan(noise, mu_dt, x_prev)
     grid = TimeGrid(t_start=0.0, dt=dt_field, n_samples=n)
-    return FieldTrace(grid=grid, amplitude=noise, gamma=gamma, state=(e_last, y_last, x_last))
+    return FieldTrace(grid=grid, amplitude=noise, state=(e_last, y_last, x_last))
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:

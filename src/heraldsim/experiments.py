@@ -18,9 +18,9 @@ reconstruct_samples tomography of an existing quadrature CSV
 ``run_g2`` and ``end_to_end`` get their clicks from one helper,
 ``_click_stream``, which makes one trigger field in chunks and thins each
 chunk as it is made; both delay sweeps are ``_sweep`` with their own
-analysis mode and columns.  ``end_to_end`` draws each pair's (x, theta) from the
-joint two-mode sampler; trace synthesis and projection stay the library's
-reference path, which a test checks the driver against.
+analysis mode and columns.  Every driver gets its quadratures the same
+way: reduce the lossy state to one analysis mode, then draw (x, theta)
+with ``sample_quadratures``; ``end_to_end`` does so once per delay bin.
 """
 
 from __future__ import annotations
@@ -56,9 +56,8 @@ from .fock import (
     build_heralded_state,
     density_matrix_to_json,
     reduce_to_mode,
-    reduce_to_mode_pair,
 )
-from .homodyne import joint_sample_two_modes, sample_quadratures
+from .homodyne import sample_quadratures
 from .modes import (
     HeraldPair,
     ModeFunction,
@@ -75,9 +74,11 @@ from .tomo import MLConfig, MLResult, bootstrap_stderr, ml_diagonal
 # samples, split evenly, each continuing the last; it bounds memory, and
 # the chunking fixes the seed stream.
 FIELD_CHUNK_SAMPLES = 2**18
-# Each delay bin's joint draws come in chunks of this many pairs with one
-# derived seed each; the chunking fixes the seed stream, not memory.
-MAX_TRACES_PER_CHUNK = 2048
+# Most grid samples, g2 bins or end-to-end delay bins a config may ask for.
+# Each count sizes a dense array, so a mistyped step far beyond this would
+# exhaust memory or make numpy raise a bare ValueError deep inside a
+# driver; the defaults (5,001, 120 and 33) sit far below it.
+MAX_ARRAY_LENGTH = 10**6
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise OutOfRange(f"{name} must be positive, got {value}")
+        # the ratios, not the rounded counts, so that an infinite one raises too
+        for name, count in (
+            ("grid samples", self.grid_window_ns / self.grid_dt_ns),
+            ("g2 bins", self.g2_max_delay_ns / self.g2_bin_ns),
+            ("delay bins", self.acceptance_window_ns / self.delta_t_bin_ns),
+        ):
+            if not count <= MAX_ARRAY_LENGTH:
+                raise OutOfRange(f"{name} {count:.3g} exceed the limit {MAX_ARRAY_LENGTH:,}")
         if self.rng_seed < 0:
             raise OutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.bootstrap_reps < 2:
@@ -473,13 +482,11 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     against the analytic adapted-mode weights.
 
     Pairs are grouped into delay bins of width ``delta_t_bin_ns``; each
-    group is simulated with the analysis modes of its bin-center delay.
-    Each pair's (x, theta) is the f1 quadrature and phase of a joint draw
-    for the mode pair (f1, f2): what projecting a synthesized homodyne
-    trace onto f1 would return, to rounding, without synthesizing it.
-    Bins holding fewer than ``min_pairs_per_bin`` pairs are skipped with a
-    warning; if every bin is skipped, InsufficientPairs is raised.  Writes
-    samples.csv (x, theta_rad, delta_t_ns) and report.json.
+    group is simulated with the analysis modes of its bin-center delay,
+    and its (x, theta) are drawn from the state reduced to f1, as a sweep
+    point's are.  Bins holding fewer than ``min_pairs_per_bin`` pairs are
+    skipped with a warning; if every bin is skipped, InsufficientPairs is
+    raised.  Writes samples.csv (x, theta_rad, delta_t_ns) and report.json.
     """
     out = _prepare_out_dir(config, out_dir, "end_to_end")
     stream, _, pair_seed = _click_stream(config, config.end_to_end_duration_s)
@@ -519,9 +526,10 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             bins_report.append(entry)
             continue
         scene = _build_scene(config, center_ns * 1e-9)
-        x_values, thetas = _adapted_quadratures(scene, idx.size, bin_seeds[2 * b])
-        sample_rows.append(np.column_stack([x_values, thetas, delays[idx] * 1e9]))
-        result, stderr = _reconstruct(x_values, config, bin_seeds[2 * b + 1])
+        rho = reduce_to_mode(scene.state, scene.f1)
+        samples = sample_quadratures(rho, idx.size, bin_seeds[2 * b])
+        sample_rows.append(np.column_stack([samples, delays[idx] * 1e9]))
+        result, stderr = _reconstruct(samples, config, bin_seeds[2 * b + 1])
         analytic = _pair_lossy_distributions(scene.overlap, config.eta)[0]
         entry["reconstruction"] = result.to_json_dict()
         entry["stderr"] = [float(s) for s in stderr]
@@ -551,20 +559,6 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     write_manifest(config, out, "end_to_end", ["samples.csv", "report.json"])
     return report
-
-
-def _adapted_quadratures(scene: _DelayScene, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` (x, theta) of the adapted mode f1 for one delay bin:
-    columns x1 and theta of joint draws for the mode pair (f1, f2), in
-    chunks of MAX_TRACES_PER_CHUNK with one derived seed each."""
-    rho_pair = reduce_to_mode_pair(scene.state, scene.f1, scene.f2)
-    chunk = MAX_TRACES_PER_CHUNK
-    chunk_seeds = _derive_seeds(seed, int(math.ceil(count / chunk)))
-    draws = np.concatenate([
-        joint_sample_two_modes(rho_pair, min(chunk, count - k * chunk), chunk_seed)
-        for k, chunk_seed in enumerate(chunk_seeds)
-    ])
-    return draws[:, 0], draws[:, 2]
 
 
 def reconstruct_samples(

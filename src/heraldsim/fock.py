@@ -112,13 +112,12 @@ class MultimodeState:
 class DecompositionCoeffs:
     """Projections of the two trigger wavepackets onto a register.
 
-    alpha[m] = <h_m, g1>, beta[n] = <h_n, g2>, matrix = outer(alpha, beta).
+    alpha[m] = <h_m, g1>, beta[n] = <h_n, g2>.
     ``residual1``/``residual2`` hold the L2 mass outside the span.
     """
 
     alpha: np.ndarray
     beta: np.ndarray
-    matrix: np.ndarray
     residual1: float
     residual2: float
 
@@ -140,9 +139,7 @@ def decomposition_coeffs(register: ModeRegister, g1: ModeFunction, g2: ModeFunct
     beta = np.array([overlap(h, g2) for h in register.modes])
     r1 = g1.norm_squared() - float(np.dot(alpha, alpha))
     r2 = g2.norm_squared() - float(np.dot(beta, beta))
-    return DecompositionCoeffs(
-        alpha=alpha, beta=beta, matrix=np.outer(alpha, beta), residual1=r1, residual2=r2
-    )
+    return DecompositionCoeffs(alpha=alpha, beta=beta, residual1=r1, residual2=r2)
 
 
 def build_heralded_state(

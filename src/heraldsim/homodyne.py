@@ -17,8 +17,9 @@ with per-sample standard deviation sqrt(1/(2*dt)) whose components along
 the two analysis modes are replaced by jointly drawn mode quadratures.
 Projecting a trace onto any normalized mode with  sum(mode*trace)*dt
 recovers that mode's quadrature statistics.  It is the physical reference
-path: projecting onto the first analysis mode returns the joint draw's x1
-to rounding, so the end-to-end driver takes x1 from the joint sampler.
+path that tests check the drivers against: projecting onto the first
+analysis mode returns the joint draw's x1 to rounding, and x1 follows the
+state reduced to that mode, which the drivers sample directly.
 """
 
 from __future__ import annotations

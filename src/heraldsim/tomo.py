@@ -302,7 +302,9 @@ def bootstrap_stderr(
 ) -> np.ndarray:
     """Standard error of the EM probabilities by multinomial resampling of
     the binned histogram (cheap: one batched EM over all resampled
-    histograms).  Needs ``n_boot`` >= 2 for the ddof=1 spread."""
+    histograms).  Needs ``n_boot`` >= 2 for the ddof=1 spread.  Warns when
+    any replicate stops at ``config.max_iters`` unconverged; it still
+    enters the spread."""
     if n_boot < 2:
         raise OutOfRange(f"bootstrap needs at least 2 replicates, got {n_boot}")
     hist, pi = _histogram(samples, config)
@@ -310,5 +312,11 @@ def bootstrap_stderr(
     rng = np.random.default_rng(rng_seed)
     # one call draws the same stream as n_boot single draws
     resampled = rng.multinomial(total, hist / total, size=n_boot).astype(float)
-    reps = _em(resampled, pi, config)[0]
+    reps, _, _, converged, _ = _em(resampled, pi, config)
+    if not converged.all():
+        warnings.warn(
+            f"{np.count_nonzero(~converged)} of {n_boot} bootstrap replicates stopped "
+            f"unconverged at max_iters = {config.max_iters}",
+            stacklevel=2,
+        )
     return reps.std(axis=0, ddof=1)

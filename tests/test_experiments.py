@@ -23,18 +23,13 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import heraldsim
-from heraldsim.analytic import two_photon_weight_lossy
+from heraldsim.analytic import PhotonDistribution, two_photon_weight_lossy
 from heraldsim.cli import main
 from heraldsim.errors import InsufficientPairs, OutOfRange
 from heraldsim.experiments import (
     FIELD_CHUNK_SAMPLES,
-    MAX_TRACES_PER_CHUNK,
     ExperimentConfig,
-    _adapted_quadratures,
-    _build_scene,
     _click_stream,
-    _derive_seeds,
-    _herald_for_delay,
     config_hash,
     end_to_end,
     load_config,
@@ -45,10 +40,11 @@ from heraldsim.experiments import (
     run_g2,
     save_config,
 )
-from heraldsim.fock import density_matrix_from_json, reduce_to_mode_pair
-from heraldsim.homodyne import project_trace, sample_quadratures, synthesize_trace_batch
+from heraldsim.fock import density_matrix_from_json
+from heraldsim.homodyne import sample_quadratures
 
 from conftest import ETA, GAMMA
+from test_homodyne import KS_CRIT_1PC, ks_statistic
 
 LOSSY_TWO_PHOTON = np.array([0.0576, 0.3648, 0.5776])
 LOSSY_FIXED_40NS = (0.239964881592, 0.759923910115, 0.000111208292825)
@@ -374,26 +370,16 @@ class TestEndToEnd:
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
-    def test_quadratures_match_trace_projection(self):
-        # the reference path: synthesize each chunk's traces with the
-        # driver's chunk seeds and project them onto f1
-        center = 20.5 * E2E_CFG.delta_t_bin_ns * 1e-9  # centre of delay bin 20
-        scene = _build_scene(E2E_CFG, center)
-        count = MAX_TRACES_PER_CHUNK + 300  # two chunks
-        x, theta = _adapted_quadratures(scene, count, 2024)
-        rho_pair = reduce_to_mode_pair(scene.state, scene.f1, scene.f2)
-        herald = _herald_for_delay(E2E_CFG, center)
-        projected, phases = [], []
-        for k, chunk_seed in enumerate(_derive_seeds(2024, 2)):
-            n = min(MAX_TRACES_PER_CHUNK, count - k * MAX_TRACES_PER_CHUNK)
-            traces, _, th = synthesize_trace_batch(
-                rho_pair, scene.f1, scene.f2, herald, n, chunk_seed
-            )
-            projected.append(project_trace(traces, scene.f1))
-            phases.append(th)
-        assert x.shape == theta.shape == (count,)
-        assert np.max(np.abs(x - np.concatenate(projected))) <= 1e-12
-        np.testing.assert_array_equal(theta, np.concatenate(phases))
+    def test_samples_follow_the_bins_analytic_law(self, e2e_run):
+        # every reconstructed bin draws x from its state in f1, so the pooled
+        # x column follows the pair-weighted mix of the bins' analytic laws
+        out, report = e2e_run
+        x = np.loadtxt(out / "samples.csv", delimiter=",", skiprows=1)[:, 0]
+        kept = [e for e in report["bins"] if not e["skipped"]]
+        weights = np.array([e["n_pairs"] for e in kept], dtype=float)
+        probs = weights @ np.array([e["analytic_probs"] for e in kept]) / weights.sum()
+        d = ks_statistic(x, PhotonDistribution(probs))
+        assert d * math.sqrt(x.size) < KS_CRIT_1PC
 
     def test_insufficient_pairs(self, tmp_path):
         sparse = dataclasses.replace(
@@ -557,6 +543,25 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "MarginTooSmall"
+
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            ("end-to-end", '{"end_to_end_duration_s": 2e-4, "delta_t_bin_ns": 1e-300}'),
+            ("end-to-end", '{"acceptance_window_ns": 1e300}'),
+            ("g2", '{"g2_n_events": 400000, "g2_bin_ns": 1e-300}'),
+            ("sweep-delay", '{"grid_dt_ns": 1e-300}'),
+        ],
+        ids=["delay_bin", "acceptance_window", "g2_bin", "grid_dt"],
+    )
+    def test_oversized_array_error_json(self, tmp_path, capsys, command, raw):
+        # a count numpy cannot allocate must not reach np.arange as a bare ValueError
+        path = tmp_path / "config.json"
+        path.write_text(raw)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "exceed the limit" in err["message"]
 
     def test_python_m_error_is_one_json_line(self, tmp_path):
         # ``python -m heraldsim.cli`` imports the package first; if that

@@ -109,9 +109,6 @@ class TestDecompositionCoeffs:
         np.testing.assert_allclose(
             coeffs.beta, [ov, math.sqrt(1.0 - ov * ov)], atol=1e-9
         )
-        np.testing.assert_allclose(
-            coeffs.matrix, np.outer(coeffs.alpha, coeffs.beta), atol=1e-15
-        )
         assert abs(coeffs.residual1) < 1e-9
         assert abs(coeffs.residual2) < 1e-9
 

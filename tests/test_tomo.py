@@ -5,6 +5,7 @@ point, full density-matrix iteration, bootstrap errors.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -312,6 +313,14 @@ class TestBootstrapStderr:
         ]
         expected = np.std(reps, axis=0, ddof=1)
         np.testing.assert_array_equal(bootstrap_stderr(samples, config, rng_seed=3), expected)
+
+    def test_unconverged_replicates_warn(self):
+        samples = draws(LOSSY_TWO_PHOTON, 2_000, seed=220)
+        with pytest.warns(UserWarning, match="4 of 4 bootstrap replicates stopped unconverged"):
+            bootstrap_stderr(samples, MLConfig(max_iters=5), n_boot=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bootstrap_stderr(samples, n_boot=4)
 
     @pytest.mark.parametrize("n_boot", [0, 1])
     def test_needs_two_replicates(self, n_boot):
