@@ -146,15 +146,19 @@ def csv_changes(a: Path, b: Path) -> str:
     return f"{changed} of {len(ra) - 1} rows differ; largest change: {moved}"
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="base commit")
     parser.add_argument("head", nargs="?", default="HEAD", help="head commit (default HEAD)")
     parser.add_argument(
-        "--expect-diff", action="append", default=[], metavar="PATH",
-        help="a file allowed to differ (matched as a path suffix); repeatable",
+        "--expect-diff", nargs="+", action="extend", default=[], metavar="PATH",
+        help="files allowed to differ (each matched as a path suffix); repeatable",
     )
-    args = parser.parse_args()
+    return parser.parse_args(argv)
+
+
+def main() -> int:
+    args = parse_args()
     shas = {side: rev_parse(rev) for side, rev in (("base", args.base), ("head", args.head))}
     tmp = Path(tempfile.mkdtemp(prefix="check_identity-"))
     config = tmp / "pipeline_config.json"

@@ -43,6 +43,9 @@ PLATEAU_FRACTION = 0.8
 # exp(+-mu*dt*j) stay small (their rounding grows with the exponent), many
 # enough that the per-block Python loop is cheap next to the array work.
 _SCAN_BLOCK = 256
+# Samples per slab of the in-place innovation and carry steps: the bound
+# on their temporaries, which would otherwise span a whole field chunk.
+_SLAB = 2**14
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,9 @@ class FieldTrace:
         object.__setattr__(self, "amplitude", a)
 
     def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
+        # one temporary; bit-equal to np.abs(a)**2
+        i = np.abs(self.amplitude)
+        return np.multiply(i, i, out=i)
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,9 @@ def _scan(u: np.ndarray, decay: float, start: complex) -> complex:
     Blocks of _SCAN_BLOCK samples are scanned at once from a zero start,
     y_j = exp(-decay*j) * cumsum(exp(decay*i) u_i), then each block adds
     its start carried in from the block before (a Python loop over the
-    blocks).  decay*_SCAN_BLOCK <= 40 at the ResolutionTooCoarse limit, so
-    the factors' relative rounding stays near 40 machine epsilons.
+    blocks), _SLAB samples at a time so that no temporary spans ``u``.
+    decay*_SCAN_BLOCK <= 40 at the ResolutionTooCoarse limit, so the
+    factors' relative rounding stays near 40 machine epsilons.
     """
     body = u.size - u.size % _SCAN_BLOCK
     for blocks in (u[:body].reshape(-1, _SCAN_BLOCK), u[body:].reshape(1, -1)):
@@ -167,8 +173,70 @@ def _scan(u: np.ndarray, decay: float, start: complex) -> complex:
         for end in blocks[:, -1].tolist():
             starts.append(start)
             start = end + step * start
-        blocks += np.multiply.outer(np.array(starts), np.exp(-decay * (j + 1)))
+        carry, fall = np.array(starts), np.exp(-decay * (j + 1))
+        rows = max(1, _SLAB // width)
+        for r in range(0, len(carry), rows):
+            blocks[r : r + rows] += np.multiply.outer(carry[r : r + rows], fall)
     return start
+
+
+def _check_field(gamma: float, duration: float, dt_field: float, fresh: bool) -> None:
+    """The limits of ``synthesize_thermal_field``, for every field maker."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise OutOfRange(f"bandwidth must be positive, got {gamma}")
+    if dt_field > 1.0 / (20.0 * gamma):
+        raise ResolutionTooCoarse(
+            f"dt_field {dt_field:.3e} s > 1/(20*gamma) = {1.0 / (20.0 * gamma):.3e} s"
+        )
+    if fresh and duration < 100.0 / gamma:
+        raise DurationTooShort(
+            f"duration {duration:.3e} s < 100/gamma = {100.0 / gamma:.3e} s"
+        )
+
+
+def _stationary_start(rng: np.random.Generator, mu_dt: float) -> tuple[complex, complex, complex]:
+    """(e, y, x) at the sample before a fresh field, drawn exactly from the
+    stationary law of ``_stationary_covariance``, with y_{-1} = x_{-1} -
+    phi x_{-2}; no burn-in is needed."""
+    phi = _field_recursion(mu_dt)[0]
+    cov = _stationary_covariance(mu_dt)
+    e_prev, x_prev, x_prev2 = np.linalg.cholesky(cov) @ _complex_normals(rng, 3)
+    return complex(e_prev), complex(x_prev - phi * x_prev2), complex(x_prev)
+
+
+def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev: complex) -> complex:
+    """Fill the contiguous complex array ``out`` with the MA(1) innovations
+    sigma*(e_k + theta*e_{k-1}) of fresh unit white noise e drawn from
+    ``rng``, e_{-1} = ``e_prev``; returns the last e, which continues the
+    noise.
+
+    The step runs in place from the end, _SLAB samples at a time, so each
+    slab reads e values not yet overwritten and no temporary spans ``out``.
+    Needs no state but ``e_prev``, so the next chunk's innovations can be
+    drawn while this chunk is filtered.
+    """
+    _, theta, sigma = _field_recursion(mu_dt)
+    n = out.size
+    if n == 0:
+        return e_prev
+    rng.standard_normal(out=out.view(np.float64))
+    out *= math.sqrt(0.5)
+    e_last = complex(out[-1])
+    for stop in range(n, 1, -_SLAB):
+        start = max(1, stop - _SLAB)
+        slab = out[start:stop]
+        slab += theta * out[start - 1 : stop - 1]
+        slab *= sigma
+    out[:1] += theta * e_prev
+    out[:1] *= sigma
+    return e_last
+
+
+def _filter(u: np.ndarray, mu_dt: float, y_prev: complex, x_prev: complex) -> tuple[complex, complex]:
+    """The two first-order scans (1 - phi B) y = u and (1 - phi B) x = y,
+    in place over the innovations ``u``, from y_{-1}, x_{-1}; returns the
+    last (y, x)."""
+    return _scan(u, mu_dt, y_prev), _scan(u, mu_dt, x_prev)
 
 
 def synthesize_thermal_field(
@@ -183,12 +251,11 @@ def synthesize_thermal_field(
 
     Runs the ARMA(2,1) recursion of ``_field_recursion`` as two first-order
     scans, (1 - phi B) y = sigma (1 + theta B) e and (1 - phi B) x = y,
-    over complex unit white noise e.  Every sample has ensemble mean
-    intensity exactly 1 and the exact sampled autocovariance.  ``state`` =
-    (e, y, x) at the sample before the first continues a field, as
-    ``FieldTrace.state`` of the previous call hands it on.  Without it the start is drawn exactly from the stationary law
-    of ``_stationary_covariance``, with y_{-1} = x_{-1} - phi x_{-2}; no
-    burn-in is needed.
+    over complex unit white noise e: ``_innovations`` then ``_filter``.
+    Every sample has ensemble mean intensity exactly 1 and the exact
+    sampled autocovariance.  ``state`` = (e, y, x) at the sample before the
+    first continues a field, as ``FieldTrace.state`` of the previous call
+    hands it on.  Without it the start is drawn by ``_stationary_start``.
 
     Raises
     ------
@@ -198,35 +265,16 @@ def synthesize_thermal_field(
         If a field that is not continued (no ``state``) spans less than
         100/gamma, too few coherence cells for its statistics.
     """
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise OutOfRange(f"bandwidth must be positive, got {gamma}")
-    if dt_field > 1.0 / (20.0 * gamma):
-        raise ResolutionTooCoarse(
-            f"dt_field {dt_field:.3e} s > 1/(20*gamma) = {1.0 / (20.0 * gamma):.3e} s"
-        )
-    if state is None and duration < 100.0 / gamma:
-        raise DurationTooShort(
-            f"duration {duration:.3e} s < 100/gamma = {100.0 / gamma:.3e} s"
-        )
+    _check_field(gamma, duration, dt_field, fresh=state is None)
     n = int(round(duration / dt_field))
     rng = np.random.default_rng(rng_seed)
     mu_dt = math.pi * gamma * dt_field
-    phi, theta, sigma = _field_recursion(mu_dt)
-    if state is None:
-        cov = _stationary_covariance(mu_dt)
-        e_prev, x_prev, x_prev2 = np.linalg.cholesky(cov) @ _complex_normals(rng, 3)
-        state = (complex(e_prev), complex(x_prev - phi * x_prev2), complex(x_prev))
-    e_prev, y_prev, x_prev = state
-    noise = _complex_normals(rng, n)
-    e_last = complex(noise[-1]) if n else e_prev
-    # in place: noise becomes sigma*(e_k + theta*e_{k-1}), then y, then x
-    noise[1:] += theta * noise[:-1]
-    noise[:1] += theta * e_prev
-    noise *= sigma
-    y_last = _scan(noise, mu_dt, y_prev)
-    x_last = _scan(noise, mu_dt, x_prev)
+    e_prev, y_prev, x_prev = state if state is not None else _stationary_start(rng, mu_dt)
+    amplitude = np.empty(n, dtype=complex)
+    e_last = _innovations(rng, amplitude, mu_dt, e_prev)
+    y_last, x_last = _filter(amplitude, mu_dt, y_prev, x_prev)
     grid = TimeGrid(t_start=0.0, dt=dt_field, n_samples=n)
-    return FieldTrace(grid=grid, amplitude=noise, state=(e_last, y_last, x_last))
+    return FieldTrace(grid=grid, amplitude=amplitude, state=(e_last, y_last, x_last))
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:

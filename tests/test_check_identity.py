@@ -69,3 +69,14 @@ def test_csv_changes_counts_rows_and_columns(tmp_path):
     assert check_identity.csv_changes(a, b) == (
         "1 of 3 rows differ; largest change: x 1.0e-13"
     )
+
+
+def test_expect_diff_takes_several_paths_per_flag():
+    paths = ["end_to_end/samples.csv", "end_to_end/report.json", "reconstruction.json"]
+    one_flag = check_identity.parse_args(["BASE", "--expect-diff", *paths])
+    assert (one_flag.base, one_flag.head, one_flag.expect_diff) == ("BASE", "HEAD", paths)
+    repeated = check_identity.parse_args(
+        ["BASE", "NEW", "--expect-diff", paths[0], "--expect-diff", *paths[1:]]
+    )
+    assert (repeated.head, repeated.expect_diff) == ("NEW", paths)
+    assert check_identity.parse_args(["BASE"]).expect_diff == []

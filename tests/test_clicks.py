@@ -15,6 +15,7 @@ from scipy import stats
 
 from heraldsim.analytic import g2_closed_form
 from heraldsim.clicks import (
+    _SLAB,
     ClickStream,
     _complex_normals,
     _field_recursion,
@@ -136,11 +137,12 @@ class TestThermalField:
         np.testing.assert_allclose(_stationary_covariance(mu_dt), expected, rtol=0.0, atol=1e-12)
 
     def test_chunks_match_plain_recursion(self):
-        # three chunks continuing one another equal one Python loop of
+        # chunks continuing one another equal one Python loop of
         # x_k = 2 phi x_{k-1} - phi**2 x_{k-2} + sigma (e_k + theta e_{k-1})
-        # over the same noise, with no seam where a chunk starts
+        # over the same noise, with no seam where a chunk starts; the last
+        # chunk spans slabs of the in-place innovation and carry steps
         e_prev, y_prev, x_prev = 0.3 - 0.2j, 0.05 + 0.01j, -0.7 + 0.4j
-        sizes, seeds = (4001, 517, 1500), (21, 22, 23)
+        sizes, seeds = (4001, 517, 1500, 2 * _SLAB + 3), (21, 22, 23, 24)
         state, parts = (e_prev, y_prev, x_prev), []
         for size, seed in zip(sizes, seeds):
             field = synthesize_thermal_field(GAMMA, size * DT_FIELD, DT_FIELD, seed, state)
