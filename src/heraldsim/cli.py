@@ -12,7 +12,8 @@ Subcommands map one-to-one onto the experiment drivers:
 Shared flags: --config (JSON file), --seed, --out, --samples.  On success
 a short JSON summary goes to stdout and files land in the output
 directory; on failure a machine-readable {"error": {...}} JSON goes to
-stderr and the exit code is 1.
+stderr and the exit code is 1.  Warnings raised before a failure travel
+inside that object as its "warnings" list, so stderr holds it alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 
 from . import experiments
 from .errors import HeraldSimError
@@ -82,42 +84,45 @@ def _load_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = _load_config(args)
-        out_dir = None  # drivers default to <output_dir>/<command>
-        if args.command == "g2":
-            summary = experiments.run_g2(config, out_dir)
-        elif args.command == "sweep-delay":
-            rows = experiments.run_delay_sweep(config, out_dir)
-            summary = {"n_points": len(rows), "rows": rows}
-        elif args.command == "sweep-fixed":
-            rows = experiments.run_fixed_mode_sweep(config, out_dir)
-            summary = {"n_points": len(rows)}
-        elif args.command == "fock-panels":
-            panels = experiments.run_fock_panels(config, args.delay_ns, out_dir)
-            summary = {
-                name: {
-                    "probs": panel["reconstruction"]["probs"][:3],
-                    "analytic": panel["analytic_probs"],
-                }
-                for name, panel in panels.items()
-            }
-        elif args.command == "end-to-end":
-            report = experiments.end_to_end(config, out_dir)
-            summary = {
-                key: report[key]
-                for key in ("n_clicks", "n_pairs", "n_bins", "n_bins_reconstructed")
-            }
-        elif args.command == "reconstruct":
-            summary = experiments.reconstruct_samples(args.samples_csv, config, out_dir)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
-    except (HeraldSimError, OSError, json.JSONDecodeError) as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error), file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            summary = _run(args)
+        except (HeraldSimError, OSError, json.JSONDecodeError) as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            if caught:
+                error["warnings"] = [str(w.message) for w in caught]
+            print(json.dumps({"error": error}), file=sys.stderr)
+            return 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     print(json.dumps(summary, indent=2))
     return 0
+
+
+def _run(args: argparse.Namespace) -> dict:
+    config = _load_config(args)
+    if args.command == "g2":
+        return experiments.run_g2(config)
+    if args.command == "sweep-delay":
+        rows = experiments.run_delay_sweep(config)
+        return {"n_points": len(rows), "rows": rows}
+    if args.command == "sweep-fixed":
+        return {"n_points": len(experiments.run_fixed_mode_sweep(config))}
+    if args.command == "fock-panels":
+        panels = experiments.run_fock_panels(config, args.delay_ns)
+        return {
+            name: {
+                "probs": panel["reconstruction"]["probs"][:3],
+                "analytic": panel["analytic_probs"],
+            }
+            for name, panel in panels.items()
+        }
+    if args.command == "end-to-end":
+        report = experiments.end_to_end(config)
+        return {key: report[key] for key in ("n_clicks", "n_pairs", "n_bins", "n_bins_reconstructed")}
+    if args.command == "reconstruct":
+        return experiments.reconstruct_samples(args.samples_csv, config)
+    raise AssertionError(args.command)  # pragma: no cover - argparse enforces the choices
 
 
 if __name__ == "__main__":

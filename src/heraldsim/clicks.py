@@ -76,14 +76,14 @@ class FieldTrace:
 
 @dataclass(frozen=True)
 class ClickStream:
-    """Strictly increasing detection times over [0, duration)."""
+    """Strictly increasing detection times over [0, duration), kept as a read-only view."""
 
     times: np.ndarray = field(repr=False)
     duration: float
     mean_rate: float
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float).copy()
+        t = np.asarray(self.times, dtype=float).view()
         if t.ndim != 1:
             raise OutOfRange("click times must be a 1-d array")
         if t.size and (np.any(np.diff(t) <= 0.0) or t[0] < 0.0 or t[-1] >= self.duration):

@@ -77,7 +77,7 @@ from .modes import (
     overlap,
     write_mode_csv,
 )
-from .tomo import MLConfig, MLResult, bootstrap_stderr, ml_diagonal
+from .tomo import MLConfig, MLResult, ml_diagonal
 
 # The trigger field is made and thinned in chunks of at most this many
 # samples, split evenly, each continuing the last; it bounds memory, and
@@ -297,15 +297,6 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     return _DelayScene(g1=g1, g2=g2, f1=f1, f2=f2, state=state, overlap=overlap(g1, g2))
 
 
-def _reconstruct(
-    samples: np.ndarray, config: ExperimentConfig, boot_seed: int
-) -> tuple[MLResult, np.ndarray]:
-    ml_config = config.ml_config()
-    result = ml_diagonal(samples, ml_config)
-    stderr = bootstrap_stderr(samples, ml_config, n_boot=config.bootstrap_reps, rng_seed=boot_seed)
-    return result, stderr
-
-
 def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
     """Trigger-beam clicks over ``duration`` seconds: (stream, chunks, spare seed).
 
@@ -375,11 +366,11 @@ def _sweep(
     name: str,
     mode_of: Callable[[_DelayScene], ModeFunction],
     columns: list[str],
-    row_of: Callable[[_DelayScene, MLResult, np.ndarray], list[float]],
+    row_of: Callable[[_DelayScene, MLResult], list[float]],
 ) -> list[dict]:
     """Reconstruct the state of the mode ``mode_of(scene)`` at every delay.
 
-    Each row holds the delay and then ``row_of(scene, result, stderr)``,
+    Each row holds the delay and then ``row_of(scene, result)``,
     under ``columns``; the rows are written to <name>.csv and returned.
     """
     out = _prepare_out_dir(config, out_dir, name)
@@ -389,8 +380,8 @@ def _sweep(
         scene = _build_scene(config, delta_ns * 1e-9)
         rho = reduce_to_mode(scene.state, mode_of(scene))
         samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
-        result, stderr = _reconstruct(samples, config, seeds[2 * k + 1])
-        table.append([delta_ns, *row_of(scene, result, stderr)])
+        result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, seeds[2 * k + 1])
+        table.append([delta_ns, *row_of(scene, result)])
     header = ",".join(columns)
     np.savetxt(out / f"{name}.csv", table, fmt="%.12g", delimiter=",", header=header, comments="")
     write_manifest(config, out, name, [f"{name}.csv"])
@@ -439,9 +430,9 @@ def run_delay_sweep(config: ExperimentConfig, out_dir: str | Path | None = None)
     """
     columns = ["delta_t_ns", "P2_f1_analytic", "P2_f1_reconstructed", "stderr"]
 
-    def row_of(scene: _DelayScene, result: MLResult, stderr: np.ndarray) -> list[float]:
+    def row_of(scene: _DelayScene, result: MLResult) -> list[float]:
         analytic_p2 = config.eta**2 * fidelity_optimal(scene.overlap)[0]
-        return [analytic_p2, float(result.probs[2]), float(stderr[2])]
+        return [analytic_p2, float(result.probs[2]), float(result.stderr[2])]
 
     return _sweep(config, out_dir, "delay_sweep", lambda scene: scene.f1, columns, row_of)
 
@@ -455,9 +446,9 @@ def run_fixed_mode_sweep(config: ExperimentConfig, out_dir: str | Path | None = 
     and, for n = 0, 1, 2, (Pn_analytic, Pn_reconstructed, Pn_stderr).
     """
 
-    def row_of(scene: _DelayScene, result: MLResult, stderr: np.ndarray) -> list[float]:
+    def row_of(scene: _DelayScene, result: MLResult) -> list[float]:
         analytic = _fixed_lossy_distribution(scene.overlap, config.eta)
-        per_n = [(analytic.p(n), float(result.probs[n]), float(stderr[n])) for n in range(3)]
+        per_n = [(analytic.p(n), float(result.probs[n]), float(result.stderr[n])) for n in range(3)]
         return [value for triple in per_n for value in triple]
 
     kinds = ("analytic", "reconstructed", "stderr")
@@ -492,13 +483,13 @@ def run_fock_panels(
     for k, (name, mode) in enumerate(modes_by_name.items()):
         rho = reduce_to_mode(scene.state, mode)
         samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
-        result, stderr = _reconstruct(samples, config, seeds[2 * k + 1])
+        result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, seeds[2 * k + 1])
         panel = {
             "mode": name,
             "delta_t_ns": delta_t_ns,
             "n_samples": config.samples_per_point,
             "reconstruction": result.to_json_dict(),
-            "stderr": [float(s) for s in stderr],
+            "stderr": [float(s) for s in result.stderr],
             "analytic_probs": [float(p) for p in analytic_by_mode[name].probs],
             "exact_rho": json.loads(density_matrix_to_json(rho)),
         }
@@ -564,16 +555,16 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         rho = reduce_to_mode(scene.state, scene.f1)
         samples = sample_quadratures(rho, idx.size, bin_seeds[2 * b])
         sample_rows.append(np.column_stack([samples, delays[idx] * 1e9]))
-        result, stderr = _reconstruct(samples, config, bin_seeds[2 * b + 1])
+        result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, bin_seeds[2 * b + 1])
         analytic = _pair_lossy_distributions(scene.overlap, config.eta)[0]
         entry["reconstruction"] = result.to_json_dict()
-        entry["stderr"] = [float(s) for s in stderr]
+        entry["stderr"] = [float(s) for s in result.stderr]
         entry["analytic_probs"] = [float(p) for p in analytic.probs]
         # a stderr below what idx.size counts resolve means every bootstrap
         # replicate hit the same boundary: no pull, rather than a huge one
         entry["P2_pull"] = (
-            float((result.probs[2] - analytic.p(2)) / stderr[2])
-            if stderr[2] >= 1.0 / idx.size
+            float((result.probs[2] - analytic.p(2)) / result.stderr[2])
+            if result.stderr[2] >= 1.0 / idx.size
             else None
         )
         bins_report.append(entry)
@@ -612,9 +603,10 @@ def reconstruct_samples(
     """
     out = _prepare_out_dir(config, out_dir, "reconstruct")
     x = _read_samples_csv(samples_csv)
-    result, stderr = _reconstruct(x, config, _derive_seeds(config.rng_seed, 1)[0])
+    seed = _derive_seeds(config.rng_seed, 1)[0]
+    result = ml_diagonal(x, config.ml_config(), config.bootstrap_reps, seed)
     payload = result.to_json_dict()
-    payload["stderr"] = [float(s) for s in stderr]
+    payload["stderr"] = [float(s) for s in result.stderr]
     payload["n_samples"] = int(x.size)
     payload["source"] = str(samples_csv)
     (out / "reconstruction.json").write_text(json.dumps(payload, indent=2) + "\n")

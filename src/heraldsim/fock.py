@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import binom
 
 from .analytic import PhotonDistribution
 from .errors import (
@@ -198,7 +197,7 @@ def _kraus_single(n_max: int, k: int, eta: float) -> np.ndarray:
     K_k |n> = sqrt(binom(n,k) * eta**(n-k) * (1-eta)**k) |n-k>."""
     op = np.zeros((n_max + 1, n_max + 1))
     for n in range(k, n_max + 1):
-        op[n - k, n] = math.sqrt(binom(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+        op[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
     return op
 
 
@@ -224,7 +223,7 @@ def _mode_kraus_on_basis(
         n = occ[mode]
         if n < k:
             continue
-        coeff = math.sqrt(binom(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+        coeff = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
         target = list(occ)
         target[mode] = n - k
         op[index[tuple(target)], j] = coeff

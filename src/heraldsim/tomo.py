@@ -15,10 +15,13 @@ from the uniform start on a (B, n_bins) batch of histograms at once.  Its
 log-likelihood is non-decreasing, and the kernel checks that on every row.
 Each row stops on its own relative log-likelihood change; a stopped row
 leaves the batch, so its result is the one a single-row run would give.
-``ml_diagonal`` runs the kernel on the data histogram, ``bootstrap_stderr``
-on all multinomial resamples of it together.  ``ml_full`` keeps the phases
-and iterates R(rho) rho R(rho) with trace renormalization, reconstructing
-the full density matrix (coherences included).
+``ml_diagonal`` runs it once on the data histogram stacked with its
+multinomial resamples; a resample occupies only bins the data occupies, so
+the data row's fit is the one-row fit bit for bit, and the replicate rows'
+spread is the ``stderr`` that ``bootstrap_stderr`` returns.  ``ml_full``
+keeps the phases and iterates R(rho) rho R(rho) with trace
+renormalization, reconstructing the full density matrix (coherences
+included).
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def build_povm(cutoff: int, n_bins: int = 256) -> BinnedPOVM:
 
 @dataclass(frozen=True)
 class MLResult:
-    """Reconstruction output: probabilities plus convergence metadata."""
+    """Reconstruction output: probabilities, convergence metadata, bootstrap stderr."""
 
     probs: np.ndarray
     log_likelihood: float
@@ -99,6 +102,7 @@ class MLResult:
     converged: bool
     cutoff: int
     ll_history: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
+    stderr: np.ndarray | None = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,14 +114,6 @@ class MLResult:
         }
 
 
-def _bin_samples(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
-    clipped = np.clip(x, edges[0], edges[-1] - 1e-12)
-    idx = np.searchsorted(edges, clipped, side="right") - 1
-    return np.bincount(idx, minlength=edges.size - 1).astype(float)
-
-
 def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.ndarray]:
     """Bin the x column of ``samples`` (1-d x or (N, 2) rows of (x, theta));
     returns the histogram and the POVM elements of its binning."""
@@ -126,8 +122,12 @@ def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.nd
         x = x[:, 0]
     if x.size == 0:
         raise EmptyInput("no quadrature samples")
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
     povm = build_povm(config.cutoff, config.n_bins)
-    return _bin_samples(x, povm.edges), povm.elements
+    edges = povm.edges
+    idx = np.searchsorted(edges, np.clip(x, edges[0], edges[-1] - 1e-12), side="right") - 1
+    return np.bincount(idx, minlength=edges.size - 1).astype(float), povm.elements
 
 
 def _em(
@@ -210,7 +210,9 @@ def _em(
     return probs_out, ll_out, iters_out, converged_out, history_out
 
 
-def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
+def ml_diagonal(
+    samples: np.ndarray, config: MLConfig = MLConfig(), n_boot: int = 0, rng_seed: int = 0
+) -> MLResult:
     """EM estimate of the photon-number distribution from quadrature values.
 
     ``samples`` may be a 1-d array of x values or an (N, 2) array of
@@ -219,7 +221,14 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
     ``config.tol``; the result carries a ``converged`` flag (no exception
     on hitting the iteration budget: the best iterate is returned).
     Non-finite samples raise OutOfRange.
+
+    The result's ``stderr`` is the ddof=1 spread of ``n_boot`` multinomial
+    resamples of the histogram from ``default_rng(rng_seed)``, fitted in the
+    same EM batch; None for ``n_boot`` = 0, and 1 raises OutOfRange.  Warns
+    when a replicate stops unconverged; it still enters the spread.
     """
+    if n_boot < 0 or n_boot == 1:
+        raise OutOfRange(f"n_boot must be 0 or at least 2, got {n_boot}")
     hist, pi = _histogram(samples, config)
     n_samples = int(hist.sum())
     if n_samples < 1000:
@@ -227,7 +236,16 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
             f"only {n_samples} samples; estimates below ~1e3 samples are noisy",
             stacklevel=2,
         )
-    probs, ll, iters, converged, history = _em(hist[None, :], pi, config)
+    rng = np.random.default_rng(rng_seed)
+    # one call draws the same stream as n_boot single draws
+    resampled = rng.multinomial(n_samples, hist / n_samples, size=n_boot)
+    probs, ll, iters, converged, history = _em(np.vstack([hist, resampled]), pi, config)
+    if not converged[1:].all():
+        warnings.warn(
+            f"{np.count_nonzero(~converged[1:])} of {n_boot} bootstrap replicates stopped "
+            f"unconverged at max_iters = {config.max_iters}",
+            stacklevel=2,
+        )
     return MLResult(
         probs=probs[0],
         log_likelihood=float(ll[0]),
@@ -235,6 +253,7 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
         converged=bool(converged[0]),
         cutoff=config.cutoff,
         ll_history=history[0],
+        stderr=probs[1:].std(axis=0, ddof=1) if n_boot else None,
     )
 
 
@@ -295,28 +314,11 @@ def ml_full(samples: np.ndarray, config: MLConfig = MLConfig()) -> tuple[np.ndar
 
 
 def bootstrap_stderr(
-    samples: np.ndarray,
-    config: MLConfig = MLConfig(),
-    n_boot: int = 16,
-    rng_seed: int = 0,
+    samples: np.ndarray, config: MLConfig = MLConfig(), n_boot: int = 16, rng_seed: int = 0
 ) -> np.ndarray:
     """Standard error of the EM probabilities by multinomial resampling of
-    the binned histogram (cheap: one batched EM over all resampled
-    histograms).  Needs ``n_boot`` >= 2 for the ddof=1 spread.  Warns when
-    any replicate stops at ``config.max_iters`` unconverged; it still
-    enters the spread."""
+    the binned histogram: the ``stderr`` of ``ml_diagonal`` with the same
+    arguments.  Needs ``n_boot`` >= 2 for the ddof=1 spread."""
     if n_boot < 2:
         raise OutOfRange(f"bootstrap needs at least 2 replicates, got {n_boot}")
-    hist, pi = _histogram(samples, config)
-    total = int(hist.sum())
-    rng = np.random.default_rng(rng_seed)
-    # one call draws the same stream as n_boot single draws
-    resampled = rng.multinomial(total, hist / total, size=n_boot).astype(float)
-    reps, _, _, converged, _ = _em(resampled, pi, config)
-    if not converged.all():
-        warnings.warn(
-            f"{np.count_nonzero(~converged)} of {n_boot} bootstrap replicates stopped "
-            f"unconverged at max_iters = {config.max_iters}",
-            stacklevel=2,
-        )
-    return reps.std(axis=0, ddof=1)
+    return ml_diagonal(samples, config, n_boot, rng_seed).stderr

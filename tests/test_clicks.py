@@ -323,6 +323,13 @@ class TestStreamValidation:
         with pytest.raises(OutOfRange):
             ClickStream(times=np.array([2e-5]), duration=1e-5, mean_rate=1e5)
 
+    def test_keeps_a_read_only_view(self):
+        times = np.array([1e-6, 2e-6, 3e-6])
+        stream = ClickStream(times=times, duration=1e-5, mean_rate=1e5)
+        assert np.shares_memory(stream.times, times)
+        assert not stream.times.flags.writeable
+        assert times.flags.writeable
+
 
 class TestCsvWriters:
     def test_g2_csv_with_theory(self, tmp_path):

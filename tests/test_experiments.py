@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import heraldsim
 from heraldsim.analytic import PhotonDistribution, two_photon_weight_lossy
-from heraldsim import experiments
+from heraldsim import experiments, tomo
 from heraldsim.cli import main
 from heraldsim.clicks import sample_clicks, synthesize_thermal_field
 from heraldsim.errors import InsufficientPairs, OutOfRange, RateTooHigh
@@ -215,6 +215,26 @@ class TestDelaySweep:
         assert manifest["rng_seed"] == TINY.rng_seed
         assert "delay_sweep.csv" in manifest["outputs"]
         assert set(manifest["versions"]) == {"heraldsim", "numpy", "scipy", "python"}
+
+    def test_one_histogram_and_em_batch_per_point(self, tmp_path, monkeypatch):
+        # each point bins once, builds one POVM and fits the data row and
+        # its bootstrap replicates in one EM batch
+        em_rows, povms = [], []
+        em, build_povm = tomo._em, tomo.build_povm
+
+        def counted_em(hist, pi, config):
+            em_rows.append(hist.shape[0])
+            return em(hist, pi, config)
+
+        def counted_povm(*args, **kwargs):
+            povms.append(args)
+            return build_povm(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "_em", counted_em)
+        monkeypatch.setattr(tomo, "build_povm", counted_povm)
+        run_delay_sweep(TINY, tmp_path)
+        assert em_rows == [1 + TINY.bootstrap_reps] * len(TINY.delays_ns)
+        assert len(povms) == len(TINY.delays_ns)
 
 
 class TestFixedSweep:
@@ -643,6 +663,30 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "exceed the limit" in err["message"]
+
+    def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):
+        # every delay bin is skipped with a warning, then InsufficientPairs
+        path = tmp_path / "config.json"
+        path.write_text('{"end_to_end_duration_s": 0.001, "min_pairs_per_bin": 100000}')
+        rc = main(["end-to-end", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "InsufficientPairs"
+        assert len(err["warnings"]) == 33
+        assert all("skipping reconstruction" in w for w in err["warnings"])
+
+    def test_warnings_of_a_success_reach_stderr(self, tmp_path):
+        csv = write_sample_csv(tmp_path / "samples.csv", count=500)
+        src = str(Path(heraldsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "heraldsim.cli", "reconstruct", str(csv), "--out", str(tmp_path)],
+            capture_output=True, text=True, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "UserWarning: only 500 samples" in proc.stderr
+        assert "error" not in proc.stderr
+        assert json.loads(proc.stdout)["n_samples"] == 500
 
     def test_python_m_error_is_one_json_line(self, tmp_path):
         # ``python -m heraldsim.cli`` imports the package first; if that

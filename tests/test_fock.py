@@ -5,10 +5,15 @@ mode reductions, and their agreement with the closed forms.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import heraldsim
 from heraldsim.analytic import apply_loss, fidelity_optimal, fixed_mode_distribution
 from heraldsim.errors import (
     CutoffExceeded,
@@ -208,6 +213,16 @@ class TestLossChannel:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
         with pytest.raises(OutOfRange):
             loss_channel_single(rho, -0.1)
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # the loss Kraus weights are exact integer binomials; scipy.special
+    # would add about 0.2 s and 17 MiB to every process that imports heraldsim
+    src = str(Path(heraldsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, heraldsim; sys.exit('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
 
 
 class TestChangeModeBasis:

@@ -328,6 +328,64 @@ class TestBootstrapStderr:
             bootstrap_stderr(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), n_boot=n_boot)
 
 
+def with_far_tail(samples):
+    """``samples`` plus one lone x far out in the tail, in a bin of its own."""
+    return np.concatenate([samples[:, 0], [0.9 * X_MAX]])
+
+
+class TestOneBatchFit:
+    """A fit with bootstrap is one histogram, one POVM and one ``_em`` batch
+    of the data row and its replicates."""
+
+    CASES = {
+        # (samples, n_boot, rng_seed); at seed 19 the lone tail sample's bin
+        # is empty in all 4 resamples, so the data row occupies more bins
+        # than any replicate
+        "uniform": (lambda: draws(LOSSY_TWO_PHOTON, 20_000, seed=214), 16, 3),
+        "far_tail": (lambda: with_far_tail(draws(LOSSY_TWO_PHOTON, 20_000, seed=214)), 4, 19),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_data_row_is_the_plain_fit(self, case):
+        make, n_boot, seed = self.CASES[case]
+        samples = make()
+        fit = ml_diagonal(samples, MLConfig(), n_boot, seed)
+        plain = ml_diagonal(samples, MLConfig())
+        assert plain.stderr is None
+        np.testing.assert_array_equal(fit.probs, plain.probs)
+        np.testing.assert_array_equal(fit.ll_history, plain.ll_history)
+        assert (fit.log_likelihood, fit.iterations, fit.converged, fit.cutoff) == (
+            plain.log_likelihood, plain.iterations, plain.converged, plain.cutoff
+        )
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stderr_is_the_single_draw_loop(self, case):
+        make, n_boot, seed = self.CASES[case]
+        samples = make()
+        config = MLConfig()
+        hist, pi = _histogram(samples, config)
+        total = int(hist.sum())
+        rng = np.random.default_rng(seed)
+        resampled = [rng.multinomial(total, hist / total).astype(float) for _ in range(n_boot)]
+        if case == "far_tail":
+            assert np.any((hist > 0) & ~np.any(resampled, axis=0))
+        expected = np.std([reference_em(r, pi, config)[0] for r in resampled], axis=0, ddof=1)
+        fit = ml_diagonal(samples, config, n_boot, seed)
+        np.testing.assert_array_equal(fit.stderr, expected)
+        np.testing.assert_array_equal(bootstrap_stderr(samples, config, n_boot, seed), expected)
+
+    @pytest.mark.parametrize("n_boot", [-1, 1])
+    def test_one_replicate_has_no_spread(self, n_boot):
+        with pytest.raises(OutOfRange, match="n_boot"):
+            ml_diagonal(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), MLConfig(), n_boot)
+
+    def test_warning_counts_replicates_only(self):
+        samples = draws(LOSSY_TWO_PHOTON, 2_000, seed=220)
+        with pytest.warns(UserWarning, match="4 of 4 bootstrap replicates stopped unconverged"):
+            fit = ml_diagonal(samples, MLConfig(max_iters=5), 4)
+        assert not fit.converged and fit.iterations == 5
+
+
 class TestMlConfig:
     def test_defaults(self):
         cfg = MLConfig()
