@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExpansionInvalid, InvalidGamma, OutOfRange, UnsupportedSupport
-from .modes import overlap_closed_form
+from .errors import ExpansionInvalid, OutOfRange, UnsupportedSupport
+from .modes import _check_gamma, overlap_closed_form
 
 # Validity edge for the small-delay expansions, in units of pi*gamma*|delta_t|.
 EXPANSION_MAX_X = 0.5
@@ -92,7 +92,7 @@ def fidelity_smalldelay_adapted(delta_t: float, gamma: float) -> float:
     The leading form is within 5 % of the exact deficit only for
     x <= 0.039092.  Valid for x < 0.5; raises ExpansionInvalid beyond.
     """
-    _check_gamma_pos(gamma)
+    _check_gamma(gamma)
     x = math.pi * gamma * abs(delta_t)
     if x >= EXPANSION_MAX_X:
         raise ExpansionInvalid(f"pi*gamma*|delta_t| = {x:.3f} >= {EXPANSION_MAX_X}")
@@ -109,7 +109,7 @@ def fidelity_smalldelay_fixed(delta_t: float, gamma: float) -> float:
     form is within 5 % of it only for x <= 0.079447.  Valid for x < 0.5;
     raises ExpansionInvalid beyond.
     """
-    _check_gamma_pos(gamma)
+    _check_gamma(gamma)
     x = math.pi * gamma * abs(delta_t)
     if x >= EXPANSION_MAX_X:
         raise ExpansionInvalid(f"pi*gamma*|delta_t| = {x:.3f} >= {EXPANSION_MAX_X}")
@@ -172,8 +172,3 @@ def two_photon_weight_lossy(delta_t: float, gamma: float, eta: float) -> float:
         raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
     f_plus, _ = fidelity_optimal(overlap_closed_form(delta_t, gamma))
     return eta * eta * f_plus
-
-
-def _check_gamma_pos(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise InvalidGamma(f"bandwidth must be positive and finite, got {gamma}")

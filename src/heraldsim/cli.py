@@ -12,8 +12,10 @@ Subcommands map one-to-one onto the experiment drivers:
 Shared flags: --config (JSON file), --seed, --out, --samples.  On success
 a short JSON summary goes to stdout and files land in the output
 directory; on failure a machine-readable {"error": {...}} JSON goes to
-stderr and the exit code is 1.  Warnings raised before a failure travel
-inside that object as its "warnings" list, so stderr holds it alone.
+stderr and the exit code is 1.  That holds for every library error and
+bad input file, and for a count too large to allocate.  Warnings raised
+before a failure travel inside that object as its "warnings" list, so
+stderr holds it alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import sys
 import warnings
 
 from . import experiments
-from .errors import HeraldSimError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -85,9 +86,12 @@ def _load_config(args: argparse.Namespace) -> experiments.ExperimentConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
+        # ValueError covers HeraldSimError, json.JSONDecodeError and numpy's
+        # refusal of a count beyond its largest dimension; MemoryError is a
+        # count it cannot allocate
         try:
             summary = _run(args)
-        except (HeraldSimError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError, MemoryError) as exc:
             error = {"type": type(exc).__name__, "message": str(exc)}
             if caught:
                 error["warnings"] = [str(w.message) for w in caught]

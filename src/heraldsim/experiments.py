@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mode_distribution, g2_closed_form
@@ -68,7 +67,6 @@ from .fock import (
 )
 from .homodyne import sample_quadratures
 from .modes import (
-    HeraldPair,
     ModeFunction,
     TimeGrid,
     extend_orthonormal_basis,
@@ -227,7 +225,6 @@ def write_manifest(config: ExperimentConfig, out_dir: Path, command: str, output
         "versions": {
             "heraldsim": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "config": config.to_json_dict(),
@@ -247,21 +244,12 @@ def _prepare_out_dir(config: ExperimentConfig, out_dir: str | Path | None, comma
 # shared pipeline pieces
 
 
-def _herald_for_delay(config: ExperimentConfig, delta_t: float) -> HeraldPair:
-    center = 0.5 * (config.grid_window_ns * 1e-9)
-    return HeraldPair(t1=center - 0.5 * delta_t, t2=center + 0.5 * delta_t)
-
-
 def _pair_lossy_distributions(ov: float, eta: float) -> tuple[PhotonDistribution, ...]:
     # reduced states of f1 and f2 before loss are diag(F-, 0, F+) and
     # diag(F+, 0, F-); loss is binomial
     f_plus, f_minus = fidelity_optimal(ov)
     adapted = apply_loss(PhotonDistribution(np.array([f_minus, 0.0, f_plus])), eta)
     return adapted, apply_loss(PhotonDistribution(np.array([f_plus, 0.0, f_minus])), eta)
-
-
-def _fixed_lossy_distribution(ov: float, eta: float) -> PhotonDistribution:
-    return apply_loss(fixed_mode_distribution(ov), eta)
 
 
 @dataclass(frozen=True)
@@ -284,13 +272,13 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     does not exist.
     """
     grid = config.grid()
-    herald = _herald_for_delay(config, delta_t)
-    g1 = make_trigger_mode(herald.t1, config.gamma_hz, grid)
+    center = 0.5 * (config.grid_window_ns * 1e-9)
+    g1 = make_trigger_mode(center - 0.5 * delta_t, config.gamma_hz, grid)
     if delta_t == 0.0:
         register = ModeRegister(modes=(g1,))
         state = apply_loss_channel(build_heralded_state(register, g1, g1), config.eta)
         return _DelayScene(g1=g1, g2=g1, f1=g1, f2=None, state=state, overlap=1.0)
-    g2 = make_trigger_mode(herald.t2, config.gamma_hz, grid)
+    g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
     f1, f2 = make_symmetric_antisymmetric(g1, g2)
     register = ModeRegister(modes=tuple(extend_orthonormal_basis([g1, g2], grid, 2)))
     state = apply_loss_channel(build_heralded_state(register, g1, g2), config.eta)
@@ -447,7 +435,7 @@ def run_fixed_mode_sweep(config: ExperimentConfig, out_dir: str | Path | None = 
     """
 
     def row_of(scene: _DelayScene, result: MLResult) -> list[float]:
-        analytic = _fixed_lossy_distribution(scene.overlap, config.eta)
+        analytic = apply_loss(fixed_mode_distribution(scene.overlap), config.eta)
         per_n = [(analytic.p(n), float(result.probs[n]), float(result.stderr[n])) for n in range(3)]
         return [value for triple in per_n for value in triple]
 
@@ -466,14 +454,17 @@ def run_fock_panels(
 
     Per mode: panel_<name>.json holds the tomography output, the analytic
     weights, and the exact reduced density matrix; mode_<name>.csv holds
-    the mode shape for plotting.
+    the mode shape for plotting.  The delay is t2 - t1 and may not be
+    negative: g1 names the earlier trigger.
     """
+    if delta_t_ns < 0.0:
+        raise OutOfRange(f"panel delay must be non-negative, got {delta_t_ns} ns")
     out = _prepare_out_dir(config, out_dir, "fock_panels")
     delta_t = delta_t_ns * 1e-9
     scene = _build_scene(config, delta_t)
     if scene.f2 is None:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
-    fixed = _fixed_lossy_distribution(scene.overlap, config.eta)
+    fixed = apply_loss(fixed_mode_distribution(scene.overlap), config.eta)
     adapted, antisymmetric = _pair_lossy_distributions(scene.overlap, config.eta)
     analytic_by_mode = {"g1": fixed, "g2": fixed, "f1": adapted, "f2": antisymmetric}
     modes_by_name = {"g1": scene.g1, "g2": scene.g2, "f1": scene.f1, "f2": scene.f2}

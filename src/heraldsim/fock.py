@@ -10,7 +10,12 @@ sum(n) <= n_max, ordered lexicographically.  The engine supports
 * per-mode binomial loss via photon-number Kraus operators,
 * passive (photon-number conserving) mode-basis changes,
 * reduction to the state of one analysis mode, including the vacuum
-  admixture for any mode component outside the register span.
+  admixture for any mode component outside the register span, or of an
+  orthonormal analysis pair inside it.
+
+The one-mode loss channel is the register's per-mode loss sum on the
+basis (0,), ..., (n_max,), and both reductions rotate the register so the
+analysis modes lead and trace out the rest with one helper.
 
 Everything is dense numpy; register sizes of interest are a handful of
 modes with at most four photons, so dimensions stay below ~10^2.
@@ -45,11 +50,8 @@ SPAN_TOL = 1e-6
 
 def basis_tuples(n_modes: int, n_max: int) -> list[tuple[int, ...]]:
     """Occupation tuples with total photon number <= n_max, lexicographic."""
-    tuples = [
-        t for t in itertools.product(range(n_max + 1), repeat=n_modes) if sum(t) <= n_max
-    ]
-    tuples.sort()
-    return tuples
+    # itertools.product yields its tuples in lexicographic order already
+    return [t for t in itertools.product(range(n_max + 1), repeat=n_modes) if sum(t) <= n_max]
 
 
 @dataclass(frozen=True)
@@ -173,18 +175,17 @@ def build_heralded_state(
         )
     m_count = len(register)
     basis = basis_tuples(m_count, n_max)
-    index = {t: i for i, t in enumerate(basis)}
     psi = np.zeros(len(basis), dtype=complex)
     a, b = coeffs.alpha, coeffs.beta
     for m in range(m_count):
         occ = [0] * m_count
         occ[m] = 2
-        psi[index[tuple(occ)]] += math.sqrt(2.0) * a[m] * b[m]
+        psi[basis.index(tuple(occ))] += math.sqrt(2.0) * a[m] * b[m]
         for n in range(m + 1, m_count):
             occ2 = [0] * m_count
             occ2[m] = 1
             occ2[n] = 1
-            psi[index[tuple(occ2)]] += a[m] * b[n] + a[n] * b[m]
+            psi[basis.index(tuple(occ2))] += a[m] * b[n] + a[n] * b[m]
     nrm = float(np.linalg.norm(psi))
     if nrm == 0.0:
         raise SpanDeficit("heralded amplitude vanished; register does not see the triggers")
@@ -192,31 +193,11 @@ def build_heralded_state(
     return MultimodeState(register=register, n_max=n_max, rho=np.outer(psi, psi.conj()))
 
 
-def _kraus_single(n_max: int, k: int, eta: float) -> np.ndarray:
-    """Single-mode photon-loss Kraus operator K_k on Fock space 0..n_max:
-    K_k |n> = sqrt(binom(n,k) * eta**(n-k) * (1-eta)**k) |n-k>."""
-    op = np.zeros((n_max + 1, n_max + 1))
-    for n in range(k, n_max + 1):
-        op[n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-    return op
-
-
-def loss_channel_single(rho: np.ndarray, eta: float) -> np.ndarray:
-    """Binomial loss channel on a single-mode density matrix."""
-    if not 0.0 <= eta <= 1.0:
-        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
-    rho = np.asarray(rho, dtype=complex)
-    n_max = rho.shape[0] - 1
-    out = np.zeros_like(rho)
-    for k in range(n_max + 1):
-        kk = _kraus_single(n_max, k, eta)
-        out += kk @ rho @ kk.T
-    return out
-
-
 def _mode_kraus_on_basis(
     basis: list[tuple[int, ...]], index: dict, mode: int, k: int, eta: float
 ) -> np.ndarray:
+    """Photon-loss Kraus operator K_k of one mode on an occupation basis:
+    K_k |n> = sqrt(binom(n,k) * eta**(n-k) * (1-eta)**k) |n-k> in ``mode``."""
     dim = len(basis)
     op = np.zeros((dim, dim))
     for j, occ in enumerate(basis):
@@ -230,6 +211,27 @@ def _mode_kraus_on_basis(
     return op
 
 
+def _loss_on_mode(
+    rho: np.ndarray, basis: list[tuple[int, ...]], index: dict, mode: int, n_max: int, eta: float
+) -> np.ndarray:
+    """Binomial loss on one mode: the sum over k <= n_max of K_k rho K_k^T."""
+    out = np.zeros_like(rho)
+    for k in range(n_max + 1):
+        kk = _mode_kraus_on_basis(basis, index, mode, k, eta)
+        out += kk @ rho @ kk.T
+    return out
+
+
+def loss_channel_single(rho: np.ndarray, eta: float) -> np.ndarray:
+    """Binomial loss channel on a single-mode density matrix."""
+    if not 0.0 <= eta <= 1.0:
+        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
+    rho = np.asarray(rho, dtype=complex)
+    n_max = rho.shape[0] - 1
+    basis = [(n,) for n in range(n_max + 1)]
+    return _loss_on_mode(rho, basis, {t: i for i, t in enumerate(basis)}, 0, n_max, eta)
+
+
 def apply_loss_channel(state: MultimodeState, eta: float) -> MultimodeState:
     """Apply identical binomial loss with transmission ``eta`` to every mode.
 
@@ -238,15 +240,10 @@ def apply_loss_channel(state: MultimodeState, eta: float) -> MultimodeState:
     """
     if not 0.0 <= eta <= 1.0:
         raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
-    basis = state.basis
-    index = {t: i for i, t in enumerate(basis)}
+    basis, index = state.basis, state._index  # type: ignore[attr-defined]
     rho = np.asarray(state.rho, dtype=complex)
     for mode in range(len(state.register)):
-        acc = np.zeros_like(rho)
-        for k in range(state.n_max + 1):
-            kk = _mode_kraus_on_basis(basis, index, mode, k, eta)
-            acc += kk @ rho @ kk.T
-        rho = acc
+        rho = _loss_on_mode(rho, basis, index, mode, state.n_max, eta)
     return MultimodeState(register=state.register, n_max=state.n_max, rho=rho)
 
 
@@ -306,9 +303,7 @@ def change_mode_basis(state: MultimodeState, unitary: np.ndarray) -> MultimodeSt
         raise NotUnitary(f"matrix shape {u.shape}, expected {(m_count, m_count)}")
     if np.max(np.abs(u @ u.T - np.eye(m_count))) > 1e-10:
         raise NotUnitary("matrix fails orthogonality check at 1e-10")
-    basis = state.basis
-    index = {t: i for i, t in enumerate(basis)}
-    transform = _transform_matrix(basis, index, u)
+    transform = _transform_matrix(state.basis, state._index, u)  # type: ignore[attr-defined]
     rho = transform @ np.asarray(state.rho) @ transform.T
     grid = state.register.modes[0].grid
     old = np.stack([m.samples for m in state.register.modes])
@@ -323,10 +318,17 @@ def change_mode_basis(state: MultimodeState, unitary: np.ndarray) -> MultimodeSt
     )
 
 
-def _complete_orthonormal_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Real orthogonal matrix whose leading rows equal ``rows`` (orthonormal)."""
-    k = rows.shape[0]
-    a = np.eye(dim)
+def _rotate_and_trace(state: MultimodeState, rows: np.ndarray) -> np.ndarray:
+    """State of the orthonormal register combinations ``rows`` (k x M).
+
+    The rows are completed to a real orthogonal matrix, the register is
+    rotated so they become its first k modes, and the other modes are
+    traced out.  Output is on the kept modes' product basis, indexed by
+    their occupations as a base-(n_max+1) number, e.g. (n_a, n_b) ->
+    n_a*(n_max+1) + n_b.
+    """
+    k, m_count = rows.shape
+    a = np.eye(m_count)
     a[:, :k] = rows.T
     q, r = np.linalg.qr(a)
     # QR may flip signs of the leading columns; undo so rows are exact.
@@ -335,31 +337,20 @@ def _complete_orthonormal_rows(rows: np.ndarray, dim: int) -> np.ndarray:
             q[:, i] *= -1.0
     u = q.T
     u[:k] = rows  # exact leading rows, orthonormal by precondition
-    return u
-
-
-def _partial_trace_keep(
-    rho: np.ndarray, basis: list[tuple[int, ...]], keep: tuple[int, ...], n_max: int
-) -> np.ndarray:
-    """Trace out all register modes except ``keep``; product-basis output.
-
-    Output is indexed by the kept occupations stacked as a flat index with
-    base (n_max + 1), e.g. (n_a, n_b) -> n_a*(n_max+1) + n_b.
-    """
-    d = n_max + 1
-    out_dim = d ** len(keep)
-    out = np.zeros((out_dim, out_dim), dtype=complex)
-    rest_idx = [m for m in range(len(basis[0])) if m not in keep]
+    rotated = change_mode_basis(state, u)
+    rho, basis = np.asarray(rotated.rho), rotated.basis
+    d = state.n_max + 1
+    out = np.zeros((d**k, d**k), dtype=complex)
 
     def flat(occ: tuple[int, ...]) -> int:
         f = 0
-        for m in keep:
-            f = f * d + occ[m]
+        for n in occ[:k]:
+            f = f * d + n
         return f
 
     for i, occ_i in enumerate(basis):
         for j, occ_j in enumerate(basis):
-            if all(occ_i[m] == occ_j[m] for m in rest_idx):
+            if occ_i[k:] == occ_j[k:]:
                 out[flat(occ_i), flat(occ_j)] += rho[i, j]
     return out
 
@@ -386,16 +377,10 @@ def reduce_to_mode(state: MultimodeState, xi: ModeFunction) -> np.ndarray:
         vac = np.zeros((d, d), dtype=complex)
         vac[0, 0] = 1.0
         return vac
-    first_row = c / math.sqrt(s_sq)
-    m_count = len(state.register)
-    if m_count == 1:
+    if len(state.register) == 1:
         rho_par = np.asarray(state.rho, dtype=complex).copy()
     else:
-        u = _complete_orthonormal_rows(first_row[None, :], m_count)
-        rotated = change_mode_basis(state, u)
-        rho_par = _partial_trace_keep(
-            np.asarray(rotated.rho), rotated.basis, keep=(0,), n_max=state.n_max
-        )
+        rho_par = _rotate_and_trace(state, (c / math.sqrt(s_sq))[None, :])
     if s_sq < 1.0 - 1e-12:
         rho_par = loss_channel_single(rho_par, min(s_sq, 1.0))
     return rho_par
@@ -421,12 +406,7 @@ def reduce_to_mode_pair(
             raise SpanDeficit(
                 f"analysis mode carries {deficit:.2e} L2 mass outside the register"
             )
-    rows = np.stack([ca / np.linalg.norm(ca), cb / np.linalg.norm(cb)])
-    u = _complete_orthonormal_rows(rows, len(state.register))
-    rotated = change_mode_basis(state, u)
-    return _partial_trace_keep(
-        np.asarray(rotated.rho), rotated.basis, keep=(0, 1), n_max=state.n_max
-    )
+    return _rotate_and_trace(state, np.stack([ca / np.linalg.norm(ca), cb / np.linalg.norm(cb)]))
 
 
 def photon_distribution(rho: np.ndarray) -> PhotonDistribution:

@@ -8,9 +8,12 @@ Fock-state quadrature densities are squared Hermite functions
 so <x**2> = (2n+1)/2 in Fock state n.  Samplers draw (x, theta) pairs with
 the local-oscillator phase theta uniform on [0, 2*pi); x follows the
 phase-conditional density Tr[rho |x,theta><x,theta|] via a tabulated
-inverse CDF (diagonal states) or cell-bounded rejection (single-mode states
-with coherences).  The joint two-mode sampler takes phase-independent
-states, which every heralded pair state is.
+inverse CDF (diagonal states, through ``fock.photon_distribution``) or
+cell-bounded rejection (single-mode states with coherences).  That density
+is <v|rho|v> with v = ``phase_projectors(x, theta, dim)``, the one
+projector the rejection test here and ``tomo.ml_full`` both evaluate.  The
+joint two-mode sampler takes phase-independent states, which every
+heralded pair state is.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
@@ -36,7 +39,7 @@ from .errors import (
     InvalidDensity,
     ModesNotOrthogonal,
 )
-from .fock import check_density
+from .fock import check_density, photon_distribution
 from .modes import HeraldPair, ModeFunction, TimeGrid
 
 X_MAX = 8.0          # quadrature range [-X_MAX, X_MAX] covers all supported states
@@ -61,6 +64,14 @@ def hermite_function(n: int, x: np.ndarray | float) -> np.ndarray:
             psi,
         )
     return psi
+
+
+def phase_projectors(x: np.ndarray, theta: np.ndarray, dim: int) -> np.ndarray:
+    """Components psi_n(x) exp(i n theta), n < dim, of the projector on the
+    outcome (x, theta): shape (dim, N) for N outcomes.  The outcome's
+    probability in state rho is <v|rho|v> with v a column."""
+    psi = np.stack([hermite_function(n, x) for n in range(dim)])
+    return psi * np.exp(1j * np.outer(np.arange(dim), theta))
 
 
 def fock_quadrature_pdf(n: int, x: np.ndarray | float) -> np.ndarray:
@@ -139,9 +150,7 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
     xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
     offdiag = rho - np.diag(np.diag(rho))
     if np.max(np.abs(offdiag)) < 1e-12:
-        diag = np.clip(np.real(np.diag(rho)), 0.0, None)
-        pdf = mixture_pdf(PhotonDistribution(diag / diag.sum()), xs)
-        draw = _tabulated_inverse_cdf(pdf, xs)
+        draw = _tabulated_inverse_cdf(mixture_pdf(photon_distribution(rho), xs), xs)
         x = draw(rng.uniform(0.0, 1.0, size=count))
         return np.column_stack([x, theta])
 
@@ -161,8 +170,7 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
         batch = max(int(todo * 1.5) + 16, 64)
         (xv, tv), bound = propose(batch)
         u = rng.uniform(0.0, 1.0, size=batch)
-        psi = np.stack([hermite_function(n, xv) for n in range(dim)])
-        w = psi * np.exp(1j * np.outer(np.arange(dim), tv))
+        w = phase_projectors(xv, tv, dim)
         accept = u * bound <= np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w))
         idx = np.nonzero(accept)[0][:todo]
         parts.append(np.column_stack([xv[idx], tv[idx]]))

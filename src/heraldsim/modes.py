@@ -23,6 +23,7 @@ product  <a, b> = sum(a*b) * dt.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,12 +222,13 @@ def make_symmetric_antisymmetric(g1: ModeFunction, g2: ModeFunction) -> tuple[Mo
     )
 
 
-def _filler_profiles(grid: TimeGrid, count: int) -> list[np.ndarray]:
+def _filler_profiles(grid: TimeGrid, count: int) -> Iterator[np.ndarray]:
     # Deterministic Fourier-like fillers: half-period cosines over the grid
     # span.  Smooth, cheap, and generically independent of exponential modes.
+    # Made on demand: a basis the seeds already fill takes at most one.
     t = grid.times()
     u = (t - grid.t_start) / max(grid.duration, np.finfo(float).tiny)
-    return [np.cos(j * math.pi * u) for j in range(count)]
+    return (np.cos(j * math.pi * u) for j in range(count))
 
 
 def extend_orthonormal_basis(seeds: list[ModeFunction], grid: TimeGrid, total: int) -> list[ModeFunction]:
@@ -280,8 +282,7 @@ def extend_orthonormal_basis(seeds: list[ModeFunction], grid: TimeGrid, total: i
             raise RankDeficient(f"seed {k} numerically dependent on earlier seeds")
         basis.append(w)
 
-    fillers = _filler_profiles(grid, count=4 * total + 8)
-    for v in fillers:
+    for v in _filler_profiles(grid, count=4 * total + 8):
         if len(basis) >= total:
             break
         w = orthogonalize(v)

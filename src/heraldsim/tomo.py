@@ -20,8 +20,8 @@ multinomial resamples; a resample occupies only bins the data occupies, so
 the data row's fit is the one-row fit bit for bit, and the replicate rows'
 spread is the ``stderr`` that ``bootstrap_stderr`` returns.  ``ml_full``
 keeps the phases and iterates R(rho) rho R(rho) with trace
-renormalization, reconstructing the full density matrix (coherences
-included).
+renormalization over the projectors of ``homodyne.phase_projectors``,
+reconstructing the full density matrix (coherences included).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
-from .homodyne import X_MAX, hermite_function
+from .homodyne import X_MAX, hermite_function, phase_projectors
 
 # Gauss-Legendre order per bin; exact to machine precision for the smooth
 # squared Hermite functions at the default binning.
@@ -261,7 +261,7 @@ def ml_full(samples: np.ndarray, config: MLConfig = MLConfig()) -> tuple[np.ndar
     """Full density-matrix reconstruction via iterated R(rho) rho R(rho).
 
     ``samples`` must be an (N, 2) array of (x, theta) rows.  Projector
-    vectors  v_n = psi_n(x) exp(i n theta)  enter
+    vectors  v_n = psi_n(x) exp(i n theta)  from ``phase_projectors`` enter
     R = (1/N) sum_k |v_k><v_k| / p_k  with p_k = <v_k|rho|v_k>; each step
     conjugates rho by R and renormalizes the trace.  Returns the density
     matrix and an MLResult with its diagonal.
@@ -278,8 +278,7 @@ def ml_full(samples: np.ndarray, config: MLConfig = MLConfig()) -> tuple[np.ndar
         )
     x, theta = arr[:, 0], arr[:, 1]
     dim = config.cutoff + 1
-    psi = np.stack([hermite_function(n, x) for n in range(dim)])  # (dim, N)
-    w = psi * np.exp(1j * np.outer(np.arange(dim), theta))  # projector components
+    w = phase_projectors(x, theta, dim)
     rho = np.eye(dim, dtype=complex) / dim
     ll_prev = -np.inf
     history = []

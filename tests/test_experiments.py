@@ -214,7 +214,7 @@ class TestDelaySweep:
         assert manifest["config_hash"] == config_hash(TINY)
         assert manifest["rng_seed"] == TINY.rng_seed
         assert "delay_sweep.csv" in manifest["outputs"]
-        assert set(manifest["versions"]) == {"heraldsim", "numpy", "scipy", "python"}
+        assert set(manifest["versions"]) == {"heraldsim", "numpy", "python"}
 
     def test_one_histogram_and_em_batch_per_point(self, tmp_path, monkeypatch):
         # each point bins once, builds one POVM and fits the data row and
@@ -235,6 +235,15 @@ class TestDelaySweep:
         run_delay_sweep(TINY, tmp_path)
         assert em_rows == [1 + TINY.bootstrap_reps] * len(TINY.delays_ns)
         assert len(povms) == len(TINY.delays_ns)
+
+
+def test_import_leaves_scipy_unloaded():
+    # the runtime needs numpy only; scipy serves the tests
+    src = str(Path(heraldsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, heraldsim; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
 
 
 class TestFixedSweep:
@@ -644,6 +653,33 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "MarginTooSmall"
+
+    def test_negative_panel_delay_error_json(self, tmp_path, capsys):
+        # g1 names the earlier trigger; a negative delay would swap the labels
+        rc = main(["fock-panels", "--delay-ns", "-5", "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "non-negative" in err["message"]
+
+    def test_sample_count_beyond_numpy_dimensions_error_json(self, tmp_path, capsys):
+        # numpy refuses this size before it allocates anything
+        rc = main(["sweep-delay", "--samples", str(10**20), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "ValueError" and "dimension" in err["message"]
+
+    def test_unallocatable_count_error_json(self, tmp_path, capsys, monkeypatch):
+        # what numpy raises for a count such as --samples 1000000000000,
+        # without making the allocation
+        def out_of_memory(rho, count, rng_seed):
+            raise MemoryError(f"Unable to allocate {8 * count} bytes")
+
+        monkeypatch.setattr(experiments, "sample_quadratures", out_of_memory)
+        cfg_path, _ = self.config_file(tmp_path)
+        rc = main(["sweep-delay", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "MemoryError" and "Unable to allocate" in err["message"]
 
     @pytest.mark.parametrize(
         "command, raw",

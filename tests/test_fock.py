@@ -41,6 +41,7 @@ from heraldsim.fock import (
     reduce_to_mode_pair,
 )
 from heraldsim.modes import (
+    ModeFunction,
     extend_orthonormal_basis,
     make_symmetric_antisymmetric,
     make_trigger_mode,
@@ -214,6 +215,19 @@ class TestLossChannel:
         with pytest.raises(OutOfRange):
             loss_channel_single(rho, -0.1)
 
+    def test_single_mode_channel_is_the_register_channel(self, grid):
+        # one loss sum serves both: equal bit for bit on a one-mode register
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        register = ModeRegister(modes=(make_trigger_mode(MID, GAMMA, grid),))
+        state = MultimodeState(register=register, n_max=3, rho=rho)
+        for eta in (0.0, 0.37, 0.76, 1.0):
+            np.testing.assert_array_equal(
+                loss_channel_single(rho, eta), apply_loss_channel(state, eta).rho
+            )
+
 
 def test_import_leaves_scipy_special_unloaded():
     # the loss Kraus weights are exact integer binomials; scipy.special
@@ -351,6 +365,24 @@ class TestOracleEquivalence:
         marg_b = np.einsum("kikj->ij", rho_pair)
         np.testing.assert_allclose(marg_a, reduce_to_mode(state, f1), atol=1e-10)
         np.testing.assert_allclose(marg_b, reduce_to_mode(state, f2), atol=1e-10)
+
+    def test_pair_and_single_reductions_agree_on_a_larger_register(self, grid):
+        # a rotated pair in a three-mode register of a lossy n_max = 3 state:
+        # the completed rotation leaves a third mode to trace out
+        g1, g2, f1, f2, _ = heralded_scene(grid, 40e-9)
+        register = ModeRegister(modes=tuple(extend_orthonormal_basis([g1, g2], grid, 3)))
+        state = apply_loss_channel(build_heralded_state(register, g1, g2, n_max=3), ETA)
+        c, s = math.cos(0.3), math.sin(0.3)
+        h = register.modes[2].samples
+        xi_a = ModeFunction(grid, c * f1.samples + s * h, normalized=True)
+        xi_b = ModeFunction(grid, -s * f1.samples + c * h, normalized=True)
+        rho_pair = reduce_to_mode_pair(state, xi_a, xi_b).reshape(4, 4, 4, 4)
+        np.testing.assert_allclose(
+            np.einsum("ikjk->ij", rho_pair), reduce_to_mode(state, xi_a), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            np.einsum("kikj->ij", rho_pair), reduce_to_mode(state, xi_b), atol=1e-12
+        )
 
     def test_pair_reduction_rejects_overlapping(self, grid):
         g1, g2, f1, f2, state = heralded_scene(grid, 40e-9)

@@ -30,6 +30,7 @@ from heraldsim.homodyne import (
     hermite_function,
     joint_sample_two_modes,
     mixture_pdf,
+    phase_projectors,
     project_trace,
     sample_quadratures,
     synthesize_trace_batch,
@@ -102,6 +103,15 @@ class TestHermiteFunctions:
             hermite_function(MAX_FOCK + 1, 0.0)
         with pytest.raises(CutoffExceeded):
             hermite_function(-1, 0.0)
+
+    def test_phase_projectors(self):
+        # the expression the coherent sampler and ml_full each built before
+        rng = np.random.default_rng(8)
+        x, theta = rng.uniform(-X_MAX, X_MAX, 50), rng.uniform(0.0, 2.0 * math.pi, 50)
+        psi = np.stack([hermite_function(n, x) for n in range(6)])
+        np.testing.assert_array_equal(
+            phase_projectors(x, theta, 6), psi * np.exp(1j * np.outer(np.arange(6), theta))
+        )
 
 
 class TestQuadraturePdfs:
