@@ -21,10 +21,15 @@ chunk as it is made.  It is a two-stage pipeline over two chunk buffers
 made once: a helper thread draws chunk k+1's white noise and MA(1) step
 while the calling thread filters and thins chunk k (per 2^18-sample
 chunk on a 2-vCPU Xeon host: about 11 ms on the helper against 7 ms of
-scans and 4 ms of thinning on the calling thread).  Both delay sweeps are ``_sweep``
-with their own analysis mode and columns.  Every driver gets its quadratures the same
-way: reduce the lossy state to one analysis mode, then draw (x, theta)
-with ``sample_quadratures``; ``end_to_end`` does so once per delay bin.
+scans and 4 ms of thinning on the calling thread).
+
+The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
+delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
+at zero delay), each analysis mode and its lossy closed form.  A driver
+picks a mode by name, reduces the state to it, draws (x, theta) with
+``sample_quadratures`` and fits them; ``end_to_end`` does so per delay
+bin with f1, and both sweeps are ``_sweep`` with their own mode and
+photon numbers.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -75,16 +80,16 @@ from .modes import (
     overlap,
     write_mode_csv,
 )
-from .tomo import MLConfig, MLResult, ml_diagonal
+from .tomo import MLConfig, ml_diagonal
 
 # The trigger field is made and thinned in chunks of at most this many
 # samples, split evenly, each continuing the last; it bounds memory, and
 # the chunking fixes the seed stream.
 FIELD_CHUNK_SAMPLES = 2**18
-# Most grid samples, g2 bins or end-to-end delay bins a config may ask for.
-# Each count sizes a dense array, so a mistyped step far beyond this would
-# exhaust memory or make numpy raise a bare ValueError deep inside a
-# driver; the defaults (5,001, 120 and 33) sit far below it.
+# Most grid samples, g2 bins, delay bins, field chunks or POVM bins a
+# config may ask for.  Each count sizes an array or a list, so a mistyped
+# value far beyond it would exhaust memory or raise a bare ValueError deep
+# in a driver; the defaults (5,001, 120, 33, 153, 611 and 256) sit far below.
 MAX_ARRAY_LENGTH = 10**6
 
 
@@ -135,10 +140,14 @@ class ExperimentConfig:
             if not value > 0:
                 raise OutOfRange(f"{name} must be positive, got {value}")
         # the ratios, not the rounded counts, so that an infinite one raises too
+        field_chunk_s = self.field_dt_ns * 1e-9 * FIELD_CHUNK_SAMPLES
         for name, count in (
             ("grid samples", self.grid_window_ns / self.grid_dt_ns),
             ("g2 bins", self.g2_max_delay_ns / self.g2_bin_ns),
             ("delay bins", self.acceptance_window_ns / self.delta_t_bin_ns),
+            ("g2 field chunks", self.g2_n_events / self.mean_rate_hz / field_chunk_s),
+            ("end-to-end field chunks", self.end_to_end_duration_s / field_chunk_s),
+            ("POVM bins", self.tomo_n_bins),
         ):
             if not count <= MAX_ARRAY_LENGTH:
                 raise OutOfRange(f"{name} {count:.3g} exceed the limit {MAX_ARRAY_LENGTH:,}")
@@ -244,45 +253,47 @@ def _prepare_out_dir(config: ExperimentConfig, out_dir: str | Path | None, comma
 # shared pipeline pieces
 
 
-def _pair_lossy_distributions(ov: float, eta: float) -> tuple[PhotonDistribution, ...]:
-    # reduced states of f1 and f2 before loss are diag(F-, 0, F+) and
-    # diag(F+, 0, F-); loss is binomial
-    f_plus, f_minus = fidelity_optimal(ov)
-    adapted = apply_loss(PhotonDistribution(np.array([f_minus, 0.0, f_plus])), eta)
-    return adapted, apply_loss(PhotonDistribution(np.array([f_plus, 0.0, f_minus])), eta)
-
-
 @dataclass(frozen=True)
 class _DelayScene:
-    """Modes and lossy state for one herald delay."""
+    """Lossy state, analysis modes by name and their closed forms at one delay."""
 
-    g1: ModeFunction
-    g2: ModeFunction
-    f1: ModeFunction
-    f2: ModeFunction | None  # undefined at zero delay
     state: MultimodeState
-    overlap: float
+    modes: dict[str, ModeFunction]
+    analytic: dict[str, PhotonDistribution]
 
 
 def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
-    """Build trigger/analysis modes and the lossy state at one delay.
+    """Analysis modes, lossy state and closed forms at one herald delay.
 
-    At zero delay the two triggers coincide: the state is a two-photon
-    Fock state in the single mode g1 = f1 and the antisymmetric partner
-    does not exist.
+    ``modes`` and ``analytic`` share the keys g1, g2 (the trigger modes)
+    and f1, f2 (the adapted symmetric and antisymmetric pair), in that
+    order.  The closed forms (Nielsen & Molmer, PRA 75, 043801, 2007) are
+    the fixed-mode distribution for g1 and g2, diag(F-, 0, F+) for f1 and
+    diag(F+, 0, F-) for f2, each through binomial loss.  At zero delay the
+    triggers coincide: the state is a two-photon Fock state in the single
+    mode g1 = g2 = f1, and there is no f2.
     """
     grid = config.grid()
     center = 0.5 * (config.grid_window_ns * 1e-9)
     g1 = make_trigger_mode(center - 0.5 * delta_t, config.gamma_hz, grid)
     if delta_t == 0.0:
-        register = ModeRegister(modes=(g1,))
-        state = apply_loss_channel(build_heralded_state(register, g1, g1), config.eta)
-        return _DelayScene(g1=g1, g2=g1, f1=g1, f2=None, state=state, overlap=1.0)
-    g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
-    f1, f2 = make_symmetric_antisymmetric(g1, g2)
-    register = ModeRegister(modes=tuple(extend_orthonormal_basis([g1, g2], grid, 2)))
-    state = apply_loss_channel(build_heralded_state(register, g1, g2), config.eta)
-    return _DelayScene(g1=g1, g2=g2, f1=f1, f2=f2, state=state, overlap=overlap(g1, g2))
+        modes = {"g1": g1, "g2": g1, "f1": g1}
+        basis, ov = [g1], 1.0
+    else:
+        g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
+        f1, f2 = make_symmetric_antisymmetric(g1, g2)
+        modes = {"g1": g1, "g2": g2, "f1": f1, "f2": f2}
+        basis, ov = extend_orthonormal_basis([g1, g2], grid, 2), overlap(g1, g2)
+    register = ModeRegister(modes=tuple(basis))
+    state = apply_loss_channel(build_heralded_state(register, g1, modes["g2"]), config.eta)
+    fixed = apply_loss(fixed_mode_distribution(ov), config.eta)
+    f_plus, f_minus = fidelity_optimal(ov)
+    analytic = {
+        "g1": fixed, "g2": fixed,
+        "f1": apply_loss(PhotonDistribution(np.array([f_minus, 0.0, f_plus])), config.eta),
+        "f2": apply_loss(PhotonDistribution(np.array([f_plus, 0.0, f_minus])), config.eta),
+    }
+    return _DelayScene(state, modes, {name: analytic[name] for name in modes})
 
 
 def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
@@ -352,24 +363,28 @@ def _sweep(
     config: ExperimentConfig,
     out_dir: str | Path | None,
     name: str,
-    mode_of: Callable[[_DelayScene], ModeFunction],
+    mode: str,
     columns: list[str],
-    row_of: Callable[[_DelayScene, MLResult], list[float]],
+    photon_numbers: tuple[int, ...],
 ) -> list[dict]:
-    """Reconstruct the state of the mode ``mode_of(scene)`` at every delay.
+    """Reconstruct the state of the scene's analysis mode ``mode`` at every delay.
 
-    Each row holds the delay and then ``row_of(scene, result)``,
-    under ``columns``; the rows are written to <name>.csv and returned.
+    Each row holds the delay and then, for each n in ``photon_numbers``,
+    the scene's closed form for ``mode``, the reconstructed weight and its
+    stderr at n, under ``columns``; the rows are written to <name>.csv
+    and returned.
     """
     out = _prepare_out_dir(config, out_dir, name)
     seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
     table = []
     for k, delta_ns in enumerate(config.delays_ns):
         scene = _build_scene(config, delta_ns * 1e-9)
-        rho = reduce_to_mode(scene.state, mode_of(scene))
+        rho = reduce_to_mode(scene.state, scene.modes[mode])
         samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
         result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, seeds[2 * k + 1])
-        table.append([delta_ns, *row_of(scene, result)])
+        analytic = scene.analytic[mode]
+        per_n = [(analytic.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
+        table.append([delta_ns, *(value for triple in per_n for value in triple)])
     header = ",".join(columns)
     np.savetxt(out / f"{name}.csv", table, fmt="%.12g", delimiter=",", header=header, comments="")
     write_manifest(config, out, name, [f"{name}.csv"])
@@ -417,12 +432,7 @@ def run_delay_sweep(config: ExperimentConfig, out_dir: str | Path | None = None)
     (delta_t_ns, P2_f1_analytic, P2_f1_reconstructed, stderr).
     """
     columns = ["delta_t_ns", "P2_f1_analytic", "P2_f1_reconstructed", "stderr"]
-
-    def row_of(scene: _DelayScene, result: MLResult) -> list[float]:
-        analytic_p2 = config.eta**2 * fidelity_optimal(scene.overlap)[0]
-        return [analytic_p2, float(result.probs[2]), float(result.stderr[2])]
-
-    return _sweep(config, out_dir, "delay_sweep", lambda scene: scene.f1, columns, row_of)
+    return _sweep(config, out_dir, "delay_sweep", "f1", columns, (2,))
 
 
 def run_fixed_mode_sweep(config: ExperimentConfig, out_dir: str | Path | None = None) -> list[dict]:
@@ -433,15 +443,9 @@ def run_fixed_mode_sweep(config: ExperimentConfig, out_dir: str | Path | None = 
     adapted-mode sweep.  Writes fixed_sweep.csv with columns delta_t_ns
     and, for n = 0, 1, 2, (Pn_analytic, Pn_reconstructed, Pn_stderr).
     """
-
-    def row_of(scene: _DelayScene, result: MLResult) -> list[float]:
-        analytic = apply_loss(fixed_mode_distribution(scene.overlap), config.eta)
-        per_n = [(analytic.p(n), float(result.probs[n]), float(result.stderr[n])) for n in range(3)]
-        return [value for triple in per_n for value in triple]
-
     kinds = ("analytic", "reconstructed", "stderr")
     columns = ["delta_t_ns"] + [f"P{n}_{kind}" for n in range(3) for kind in kinds]
-    return _sweep(config, out_dir, "fixed_sweep", lambda scene: scene.g1, columns, row_of)
+    return _sweep(config, out_dir, "fixed_sweep", "g1", columns, (0, 1, 2))
 
 
 def run_fock_panels(
@@ -460,18 +464,13 @@ def run_fock_panels(
     if delta_t_ns < 0.0:
         raise OutOfRange(f"panel delay must be non-negative, got {delta_t_ns} ns")
     out = _prepare_out_dir(config, out_dir, "fock_panels")
-    delta_t = delta_t_ns * 1e-9
-    scene = _build_scene(config, delta_t)
-    if scene.f2 is None:
+    scene = _build_scene(config, delta_t_ns * 1e-9)
+    if "f2" not in scene.modes:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
-    fixed = apply_loss(fixed_mode_distribution(scene.overlap), config.eta)
-    adapted, antisymmetric = _pair_lossy_distributions(scene.overlap, config.eta)
-    analytic_by_mode = {"g1": fixed, "g2": fixed, "f1": adapted, "f2": antisymmetric}
-    modes_by_name = {"g1": scene.g1, "g2": scene.g2, "f1": scene.f1, "f2": scene.f2}
-    seeds = _derive_seeds(config.rng_seed, 2 * len(modes_by_name))
+    seeds = _derive_seeds(config.rng_seed, 2 * len(scene.modes))
     outputs = []
     panels = {}
-    for k, (name, mode) in enumerate(modes_by_name.items()):
+    for k, (name, mode) in enumerate(scene.modes.items()):
         rho = reduce_to_mode(scene.state, mode)
         samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
         result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, seeds[2 * k + 1])
@@ -481,7 +480,7 @@ def run_fock_panels(
             "n_samples": config.samples_per_point,
             "reconstruction": result.to_json_dict(),
             "stderr": [float(s) for s in result.stderr],
-            "analytic_probs": [float(p) for p in analytic_by_mode[name].probs],
+            "analytic_probs": [float(p) for p in scene.analytic[name].probs],
             "exact_rho": json.loads(density_matrix_to_json(rho)),
         }
         panels[name] = panel
@@ -543,11 +542,11 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             bins_report.append(entry)
             continue
         scene = _build_scene(config, center_ns * 1e-9)
-        rho = reduce_to_mode(scene.state, scene.f1)
+        rho = reduce_to_mode(scene.state, scene.modes["f1"])
         samples = sample_quadratures(rho, idx.size, bin_seeds[2 * b])
         sample_rows.append(np.column_stack([samples, delays[idx] * 1e9]))
         result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, bin_seeds[2 * b + 1])
-        analytic = _pair_lossy_distributions(scene.overlap, config.eta)[0]
+        analytic = scene.analytic["f1"]
         entry["reconstruction"] = result.to_json_dict()
         entry["stderr"] = [float(s) for s in result.stderr]
         entry["analytic_probs"] = [float(p) for p in analytic.probs]

@@ -34,6 +34,7 @@ from heraldsim.errors import InsufficientPairs, OutOfRange, RateTooHigh
 from heraldsim.experiments import (
     FIELD_CHUNK_SAMPLES,
     ExperimentConfig,
+    _build_scene,
     _click_stream,
     _derive_seeds,
     config_hash,
@@ -46,7 +47,7 @@ from heraldsim.experiments import (
     run_g2,
     save_config,
 )
-from heraldsim.fock import density_matrix_from_json
+from heraldsim.fock import density_matrix_from_json, photon_distribution, reduce_to_mode
 from heraldsim.homodyne import sample_quadratures
 
 from conftest import ETA, GAMMA
@@ -142,6 +143,13 @@ class TestConfig:
             ExperimentConfig(delays_ns=(0.0, math.inf))
         with pytest.raises(OutOfRange, match="dead_time_ns"):
             ExperimentConfig(dead_time_ns=math.nan)
+
+    def test_field_chunks_and_povm_bins_bounded(self):
+        # rejected at construction: no field or POVM of that size is made
+        with pytest.raises(OutOfRange, match="end-to-end field chunks"):
+            ExperimentConfig(end_to_end_duration_s=1e6)
+        with pytest.raises(OutOfRange, match="POVM bins"):
+            ExperimentConfig(tomo_n_bins=2_000_000)
 
     def test_seed_beyond_64_bits_accepted(self):
         assert ExperimentConfig(rng_seed=2**64).rng_seed == 2**64
@@ -436,6 +444,27 @@ class TestFockPanels:
         with pytest.raises(OutOfRange):
             run_fock_panels(TINY, 0.0, tmp_path)
 
+    def test_sweeps_report_the_panels_analytic_values(self, tmp_path):
+        # one closed form per mode and delay: the sweeps' analytic columns
+        # are the panels' values bit for bit
+        cfg = dataclasses.replace(TINY, delays_ns=(2.0,))
+        panels = run_fock_panels(cfg, 2.0, tmp_path / "panels")
+        adapted = run_delay_sweep(cfg, tmp_path / "adapted")[0]
+        fixed = run_fixed_mode_sweep(cfg, tmp_path / "fixed")[0]
+        assert adapted["P2_f1_analytic"] == panels["f1"]["analytic_probs"][2]
+        assert [fixed[f"P{n}_analytic"] for n in range(3)] == panels["g1"]["analytic_probs"][:3]
+
+
+@pytest.mark.parametrize("delta_t_ns", [0.0, 10.0, 40.0])
+def test_scene_closed_forms_match_its_fock_state(delta_t_ns):
+    scene = _build_scene(TINY, delta_t_ns * 1e-9)
+    expected = ["g1", "g2", "f1"] if delta_t_ns == 0.0 else ["g1", "g2", "f1", "f2"]
+    assert list(scene.modes) == list(scene.analytic) == expected
+    for name, mode in scene.modes.items():
+        exact = photon_distribution(reduce_to_mode(scene.state, mode)).probs
+        np.testing.assert_allclose(exact[:3], scene.analytic[name].probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(exact[3:], 0.0, rtol=0, atol=1e-12)
+
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestEndToEnd:
@@ -699,6 +728,23 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "exceed the limit" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            ("end-to-end", '{"end_to_end_duration_s": Infinity}'),
+            ("g2", '{"mean_rate_hz": 1e-300}'),
+        ],
+        ids=["infinite_duration", "vanishing_rate"],
+    )
+    def test_unbounded_field_error_json(self, tmp_path, capsys, command, raw):
+        # the field's chunk count is checked before any field is sized
+        path = tmp_path / "config.json"
+        path.write_text(raw)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "field chunks" in err["message"]
 
     def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):
         # every delay bin is skipped with a warning, then InsufficientPairs
