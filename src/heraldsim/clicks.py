@@ -13,6 +13,16 @@ click process by thinning, and provides the pair statistics: the
 normalized delay histogram g2 and the two-detector coincidence selection
 used for heralding.
 
+``thermal_field_chunks`` makes one field in chunks, each continuing the
+last, so that a caller can thin each chunk as it is made.  It is a
+two-stage pipeline over two chunk buffers made once: a chunk's white
+noise and MA(1) step need only the last normal of the chunk before, so a
+helper thread draws chunk k+1's while the calling thread filters chunk k
+and thins it (per 2^18-sample chunk on a 2-vCPU Xeon host: about 11 ms on
+the helper against 7 ms of scans and 4 ms of thinning on the calling
+thread; Generator fills and numpy loops release the GIL).
+``synthesize_thermal_field`` is its one-chunk case.
+
 For a thermal intensity the Siegert relation gives
 g2(tau) = 1 + |g1(tau)|**2, so g2(0) = 2.
 """
@@ -21,6 +31,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,20 +192,6 @@ def _scan(u: np.ndarray, decay: float, start: complex) -> complex:
     return start
 
 
-def _check_field(gamma: float, duration: float, dt_field: float, fresh: bool) -> None:
-    """The limits of ``synthesize_thermal_field``, for every field maker."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise OutOfRange(f"bandwidth must be positive, got {gamma}")
-    if dt_field > 1.0 / (20.0 * gamma):
-        raise ResolutionTooCoarse(
-            f"dt_field {dt_field:.3e} s > 1/(20*gamma) = {1.0 / (20.0 * gamma):.3e} s"
-        )
-    if fresh and duration < 100.0 / gamma:
-        raise DurationTooShort(
-            f"duration {duration:.3e} s < 100/gamma = {100.0 / gamma:.3e} s"
-        )
-
-
 def _stationary_start(rng: np.random.Generator, mu_dt: float) -> tuple[complex, complex, complex]:
     """(e, y, x) at the sample before a fresh field, drawn exactly from the
     stationary law of ``_stationary_covariance``, with y_{-1} = x_{-1} -
@@ -232,11 +230,69 @@ def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev
     return e_last
 
 
-def _filter(u: np.ndarray, mu_dt: float, y_prev: complex, x_prev: complex) -> tuple[complex, complex]:
-    """The two first-order scans (1 - phi B) y = u and (1 - phi B) x = y,
-    in place over the innovations ``u``, from y_{-1}, x_{-1}; returns the
-    last (y, x)."""
-    return _scan(u, mu_dt, y_prev), _scan(u, mu_dt, x_prev)
+def thermal_field_chunks(
+    gamma: float,
+    dt_field: float,
+    sizes: Sequence[int],
+    seeds: Sequence[int],
+    state: tuple[complex, complex, complex] | None = None,
+) -> Iterator[FieldTrace]:
+    """The trigger field with the squared-Lorentzian spectrum, sampled
+    exactly, as chunks of ``sizes[k]`` samples with chunk k's noise drawn
+    from ``seeds[k]``; each chunk continues the one before without a seam.
+
+    Runs the ARMA(2,1) recursion of ``_field_recursion`` as two first-order
+    scans, (1 - phi B) y = sigma (1 + theta B) e and (1 - phi B) x = y,
+    over complex unit white noise e.  Every sample has ensemble mean
+    intensity exactly 1 and the exact sampled autocovariance.  ``state`` =
+    (e, y, x) at the sample before the first continues a field, as
+    ``FieldTrace.state`` hands it on; without it the start is drawn by
+    ``_stationary_start``.
+
+    Chunk 0's innovations are drawn on the calling thread, so one chunk
+    starts no thread.  The helper thread of the pipeline runs only
+    ``_innovations``, none of the calls a tracer may wrap (its spans
+    assume calls nest on one thread); closing the generator, or running it
+    out, joins it.  A yielded chunk's amplitude holds until the next chunk
+    is asked for, which reuses its buffer.  The limits are checked when
+    the first chunk is asked for.
+
+    Raises
+    ------
+    ResolutionTooCoarse
+        If dt_field > 1/(20*gamma).
+    DurationTooShort
+        If a field that is not continued (no ``state``) spans less than
+        100/gamma to the nearest sample, too few coherence cells for its
+        statistics.
+    """
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise OutOfRange(f"bandwidth must be positive, got {gamma}")
+    if dt_field > 1.0 / (20.0 * gamma):
+        raise ResolutionTooCoarse(
+            f"dt_field {dt_field:.3e} s > 1/(20*gamma) = {1.0 / (20.0 * gamma):.3e} s"
+        )
+    duration = sum(sizes) * dt_field
+    if state is None and duration + 0.5 * dt_field < 100.0 / gamma:
+        raise DurationTooShort(f"duration {duration:.3e} s < 100/gamma = {100.0 / gamma:.3e} s")
+    mu_dt = math.pi * gamma * dt_field
+    buffers = [np.empty(max(sizes), dtype=complex) for _ in sizes[:2]]
+    rng = np.random.default_rng(seeds[0])
+    e_last, y_last, x_last = state if state is not None else _stationary_start(rng, mu_dt)
+    e_last = _innovations(rng, buffers[0][: sizes[0]], mu_dt, e_last)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for k, size in enumerate(sizes):
+            if k + 1 < len(sizes):
+                pending = helper.submit(
+                    _innovations, np.random.default_rng(seeds[k + 1]),
+                    buffers[(k + 1) % 2][: sizes[k + 1]], mu_dt, e_last,
+                )
+            u = buffers[k % 2][:size]
+            y_last, x_last = _scan(u, mu_dt, y_last), _scan(u, mu_dt, x_last)
+            grid = TimeGrid(t_start=0.0, dt=dt_field, n_samples=size)
+            yield FieldTrace(grid=grid, amplitude=u, state=(e_last, y_last, x_last))
+            if k + 1 < len(sizes):
+                e_last = pending.result()
 
 
 def synthesize_thermal_field(
@@ -246,35 +302,10 @@ def synthesize_thermal_field(
     rng_seed: int,
     state: tuple[complex, complex, complex] | None = None,
 ) -> FieldTrace:
-    """Circular complex Gaussian field with the squared-Lorentzian
-    spectrum of the trigger beam, sampled exactly.
-
-    Runs the ARMA(2,1) recursion of ``_field_recursion`` as two first-order
-    scans, (1 - phi B) y = sigma (1 + theta B) e and (1 - phi B) x = y,
-    over complex unit white noise e: ``_innovations`` then ``_filter``.
-    Every sample has ensemble mean intensity exactly 1 and the exact
-    sampled autocovariance.  ``state`` = (e, y, x) at the sample before the
-    first continues a field, as ``FieldTrace.state`` of the previous call
-    hands it on.  Without it the start is drawn by ``_stationary_start``.
-
-    Raises
-    ------
-    ResolutionTooCoarse
-        If dt_field > 1/(20*gamma).
-    DurationTooShort
-        If a field that is not continued (no ``state``) spans less than
-        100/gamma, too few coherence cells for its statistics.
-    """
-    _check_field(gamma, duration, dt_field, fresh=state is None)
-    n = int(round(duration / dt_field))
-    rng = np.random.default_rng(rng_seed)
-    mu_dt = math.pi * gamma * dt_field
-    e_prev, y_prev, x_prev = state if state is not None else _stationary_start(rng, mu_dt)
-    amplitude = np.empty(n, dtype=complex)
-    e_last = _innovations(rng, amplitude, mu_dt, e_prev)
-    y_last, x_last = _filter(amplitude, mu_dt, y_prev, x_prev)
-    grid = TimeGrid(t_start=0.0, dt=dt_field, n_samples=n)
-    return FieldTrace(grid=grid, amplitude=amplitude, state=(e_last, y_last, x_last))
+    """``thermal_field_chunks`` over ``duration`` seconds as one chunk, its
+    noise from ``rng_seed``; ``state`` and the limits are as there."""
+    (trace,) = thermal_field_chunks(gamma, dt_field, [round(duration / dt_field)], [rng_seed], state)
+    return trace
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:

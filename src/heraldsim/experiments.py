@@ -16,12 +16,8 @@ end_to_end          clicks -> pairs -> adapted-mode quadratures -> tomography
 reconstruct_samples tomography of an existing quadrature CSV
 
 ``run_g2`` and ``end_to_end`` get their clicks from one helper,
-``_click_stream``, which makes one trigger field in chunks and thins each
-chunk as it is made.  It is a two-stage pipeline over two chunk buffers
-made once: a helper thread draws chunk k+1's white noise and MA(1) step
-while the calling thread filters and thins chunk k (per 2^18-sample
-chunk on a 2-vCPU Xeon host: about 11 ms on the helper against 7 ms of
-scans and 4 ms of thinning on the calling thread).
+``_click_stream``, which thins each chunk of one trigger field from
+``clicks.thermal_field_chunks`` as it is made.
 
 The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
 delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
@@ -34,13 +30,13 @@ photon numbers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import platform
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -51,14 +47,10 @@ from . import __version__
 from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mode_distribution, g2_closed_form
 from .clicks import (
     ClickStream,
-    FieldTrace,
-    _check_field,
-    _filter,
-    _innovations,
-    _stationary_start,
     g2_histogram,
     sample_clicks,
     select_coincidences,
+    thermal_field_chunks,
     write_g2_csv,
 )
 from .errors import InsufficientPairs, OutOfRange
@@ -86,11 +78,15 @@ from .tomo import MLConfig, ml_diagonal
 # samples, split evenly, each continuing the last; it bounds memory, and
 # the chunking fixes the seed stream.
 FIELD_CHUNK_SAMPLES = 2**18
-# Most grid samples, g2 bins, delay bins, field chunks or POVM bins a
-# config may ask for.  Each count sizes an array or a list, so a mistyped
-# value far beyond it would exhaust memory or raise a bare ValueError deep
-# in a driver; the defaults (5,001, 120, 33, 153, 611 and 256) sit far below.
+# Most grid samples, g2 bins, delay bins, field chunks, POVM bins or bootstrap
+# histogram cells (by default 5,001, 120, 33, 153, 611, 256 and 4,096) a config
+# may ask for.  Each count sizes an array or a list, so a mistyped value far
+# beyond it would exhaust memory or raise a bare ValueError deep in a driver.
 MAX_ARRAY_LENGTH = 10**6
+# Most clicks a config may expect, g2_n_events or mean_rate_hz *
+# end_to_end_duration_s: their times are held in memory, twice while they
+# are joined (the defaults expect 1e6 and 4e6).
+MAX_CLICKS = 10**8
 
 
 @dataclass(frozen=True)
@@ -141,16 +137,19 @@ class ExperimentConfig:
                 raise OutOfRange(f"{name} must be positive, got {value}")
         # the ratios, not the rounded counts, so that an infinite one raises too
         field_chunk_s = self.field_dt_ns * 1e-9 * FIELD_CHUNK_SAMPLES
-        for name, count in (
-            ("grid samples", self.grid_window_ns / self.grid_dt_ns),
-            ("g2 bins", self.g2_max_delay_ns / self.g2_bin_ns),
-            ("delay bins", self.acceptance_window_ns / self.delta_t_bin_ns),
-            ("g2 field chunks", self.g2_n_events / self.mean_rate_hz / field_chunk_s),
-            ("end-to-end field chunks", self.end_to_end_duration_s / field_chunk_s),
-            ("POVM bins", self.tomo_n_bins),
+        for name, count, limit in (
+            ("grid samples", self.grid_window_ns / self.grid_dt_ns, MAX_ARRAY_LENGTH),
+            ("g2 bins", self.g2_max_delay_ns / self.g2_bin_ns, MAX_ARRAY_LENGTH),
+            ("delay bins", self.acceptance_window_ns / self.delta_t_bin_ns, MAX_ARRAY_LENGTH),
+            ("g2 field chunks", self.g2_n_events / self.mean_rate_hz / field_chunk_s, MAX_ARRAY_LENGTH),
+            ("end-to-end field chunks", self.end_to_end_duration_s / field_chunk_s, MAX_ARRAY_LENGTH),
+            ("POVM bins", self.tomo_n_bins, MAX_ARRAY_LENGTH),
+            ("bootstrap histogram cells", self.bootstrap_reps * self.tomo_n_bins, MAX_ARRAY_LENGTH),
+            ("g2 clicks", self.g2_n_events, MAX_CLICKS),
+            ("end-to-end clicks", self.mean_rate_hz * self.end_to_end_duration_s, MAX_CLICKS),
         ):
-            if not count <= MAX_ARRAY_LENGTH:
-                raise OutOfRange(f"{name} {count:.3g} exceed the limit {MAX_ARRAY_LENGTH:,}")
+            if not count <= limit:
+                raise OutOfRange(f"{name} {count:.3g} exceed the limit {limit:,}")
         if self.rng_seed < 0:
             raise OutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.bootstrap_reps < 2:
@@ -299,60 +298,29 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
 def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
     """Trigger-beam clicks over ``duration`` seconds: (stream, chunks, spare seed).
 
-    One field is synthesized in even chunks of at most FIELD_CHUNK_SAMPLES
-    samples (more on very fine grids, see below), each continuing the
-    recursion state of the one before, so the chunks join without seams;
-    each chunk is thinned to clicks before the next is filtered.  The
-    spare seed feeds the caller's next random step.
-
-    The field is ``synthesize_thermal_field`` split in two stages.  A
-    chunk's innovations (its normals and MA(1) step) need only the last
-    normal of the chunk before, so one helper thread draws chunk k+1's
-    while this thread runs chunk k's two state-carrying scans and
-    ``sample_clicks``; Generator fills and numpy loops release the GIL.
-    The two stages share two chunk buffers made once, so the field's
-    memory is two chunks whatever the duration.  The helper runs only the
-    private ``_innovations``, none of the layer calls a tracer may wrap
-    (its spans assume calls nest on one thread), and the ``with`` block
-    joins it on success and on error alike.  The result is bit-identical to
-    calling ``synthesize_thermal_field`` and then ``sample_clicks`` per
-    chunk with the same seeds.
+    One field of n samples is made by ``thermal_field_chunks`` in
+    ceil(n / FIELD_CHUNK_SAMPLES) even chunks, and each chunk is thinned
+    by ``sample_clicks`` on this thread before the next is filtered.  The
+    result is bit-identical to calling ``synthesize_thermal_field`` and
+    then ``sample_clicks`` per chunk with the same seeds.  The spare seed
+    feeds the caller's next random step.
     """
     dt_field = config.field_dt_ns * 1e-9
     n_samples = int(round(duration / dt_field))
-    # one chunk at least, so a too-short duration raises DurationTooShort;
-    # on very fine grids fewer, longer chunks, as a fresh field (the first
-    # chunk) must span 100/gamma: every chunk holds at least min_chunk
-    # samples, one more than that span against rounding
-    min_chunk = math.ceil(100.0 / (config.gamma_hz * dt_field)) + 1
-    n_chunks = max(1, min(-(-n_samples // FIELD_CHUNK_SAMPLES), n_samples // min_chunk))
+    # one chunk at least, so a too-short duration raises DurationTooShort
+    n_chunks = max(1, -(-n_samples // FIELD_CHUNK_SAMPLES))
     bounds = [n_samples * k // n_chunks for k in range(n_chunks + 1)]
-    sizes = np.diff(bounds).tolist()
-    _check_field(config.gamma_hz, sizes[0] * dt_field, dt_field, fresh=True)
     # 2k: field, 2k + 1: thinning; seeds are a prefix-stable sequence, so
     # the spare last seed leaves the chunk seeds unchanged
     seeds = _derive_seeds(config.rng_seed, 2 * n_chunks + 1)
-    mu_dt = math.pi * config.gamma_hz * dt_field
-    buffers = [np.empty(max(sizes), dtype=complex) for _ in range(min(2, n_chunks))]
-    rng = np.random.default_rng(seeds[0])
-    e_last, y_last, x_last = _stationary_start(rng, mu_dt)
+    fields = thermal_field_chunks(config.gamma_hz, dt_field, np.diff(bounds).tolist(), seeds[:-1:2])
     times = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        pending = helper.submit(_innovations, rng, buffers[0][: sizes[0]], mu_dt, e_last)
-        for k, size in enumerate(sizes):
-            e_last = pending.result()
-            if k + 1 < n_chunks:
-                pending = helper.submit(
-                    _innovations, np.random.default_rng(seeds[2 * k + 2]),
-                    buffers[(k + 1) % 2][: sizes[k + 1]], mu_dt, e_last,
-                )
-            u = buffers[k % 2][:size]
-            y_last, x_last = _filter(u, mu_dt, y_last, x_last)
-            grid = TimeGrid(t_start=0.0, dt=dt_field, n_samples=size)
-            clicks = sample_clicks(FieldTrace(grid, u), config.mean_rate_hz, seeds[2 * k + 1])
+    with contextlib.closing(fields):
+        for k, field in enumerate(fields):
+            clicks = sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1])
             times.append(clicks.times + bounds[k] * dt_field)
     # free the field before the click times are joined, which copies them twice
-    del buffers, u
+    del field
     stream = ClickStream(
         times=np.concatenate(times), duration=n_samples * dt_field, mean_rate=config.mean_rate_hz
     )

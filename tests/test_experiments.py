@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 
 import heraldsim
 from heraldsim.analytic import PhotonDistribution, two_photon_weight_lossy
-from heraldsim import experiments, tomo
+from heraldsim import clicks, experiments, tomo
 from heraldsim.cli import main
 from heraldsim.clicks import sample_clicks, synthesize_thermal_field
-from heraldsim.errors import InsufficientPairs, OutOfRange, RateTooHigh
+from heraldsim.errors import DurationTooShort, InsufficientPairs, OutOfRange, RateTooHigh
 from heraldsim.experiments import (
     FIELD_CHUNK_SAMPLES,
     ExperimentConfig,
@@ -150,6 +150,21 @@ class TestConfig:
             ExperimentConfig(end_to_end_duration_s=1e6)
         with pytest.raises(OutOfRange, match="POVM bins"):
             ExperimentConfig(tomo_n_bins=2_000_000)
+
+    def test_expected_clicks_bounded(self):
+        # rejected at construction: 5e9 clicks in 7.6e5 chunks of field
+        with pytest.raises(OutOfRange, match="end-to-end clicks"):
+            ExperimentConfig(end_to_end_duration_s=100.0)
+        with pytest.raises(OutOfRange, match="g2 clicks"):
+            ExperimentConfig(g2_n_events=2 * experiments.MAX_CLICKS)
+        ExperimentConfig(mean_rate_hz=1e8, end_to_end_duration_s=1.0)  # at the limit
+
+    def test_bootstrap_histogram_cells_bounded(self):
+        # rejected at construction: no 2.56e7-cell multinomial batch is drawn
+        with pytest.raises(OutOfRange, match="bootstrap histogram cells"):
+            ExperimentConfig(bootstrap_reps=100_000)
+        with pytest.raises(OutOfRange, match="bootstrap histogram cells"):
+            ExperimentConfig(bootstrap_reps=16, tomo_n_bins=100_000)
 
     def test_seed_beyond_64_bits_accepted(self):
         assert ExperimentConfig(rng_seed=2**64).rng_seed == 2**64
@@ -324,15 +339,28 @@ class TestClickStream:
         # clicks spread over every chunk, the last included
         assert stream.times[-1] > (n_samples - 0.01 * FIELD_CHUNK_SAMPLES) * dt
 
-    def test_fine_grid_chunks_span_a_fresh_field(self):
+    def test_fine_grid_chunks_span_a_fresh_field(self, monkeypatch):
         # at 4 ps, 100/gamma is about 471,698.1 samples, more than one
-        # FIELD_CHUNK_SAMPLES; two such spans must stay one chunk, as two
-        # halves would each fall a fraction of a sample short of 100/gamma
+        # FIELD_CHUNK_SAMPLES: only the whole stream must span it, so two
+        # such spans come in the usual even chunks, and less still raises
         config = dataclasses.replace(TINY, field_dt_ns=0.004)
+        sizes = _record_chunk_sizes(monkeypatch)
         duration = 2 * 100.0 / config.gamma_hz
         stream, n_chunks, _ = _click_stream(config, duration)
-        assert n_chunks == 1
+        assert n_chunks == len(sizes) == 4
+        assert max(sizes) <= FIELD_CHUNK_SAMPLES
         assert stream.duration == pytest.approx(duration, abs=config.field_dt_ns * 1e-9)
+        with pytest.raises(DurationTooShort):
+            _click_stream(config, 0.9 * 100.0 / config.gamma_hz)
+
+    def test_slow_field_chunks_stay_bounded(self, monkeypatch):
+        # at 1e4 Hz, 100/gamma is 2e7 samples of 0.5 ns; chunks must still
+        # hold at most FIELD_CHUNK_SAMPLES (the first one is enough to see,
+        # and is never written)
+        sizes = _record_chunk_sizes(monkeypatch, stop_after=1)
+        with pytest.raises(_Stop):
+            _click_stream(dataclasses.replace(TINY, gamma_hz=1e4), 0.02)
+        assert len(sizes) == 1 and sizes[0] <= FIELD_CHUNK_SAMPLES
 
     def test_peak_memory_does_not_grow_with_duration(self):
         # the field lives one chunk at a time: a six times longer stream
@@ -377,7 +405,7 @@ class TestClickStream:
         assert threading.active_count() == before
         # thinning chunk 0 raises while chunk 1 is still being drawn
         drawn = []
-        original = experiments._innovations
+        original = clicks._innovations
 
         def slow_innovations(rng, out, mu_dt, e_prev):
             if drawn:
@@ -386,7 +414,7 @@ class TestClickStream:
             drawn.append(threading.current_thread())
             return e_last
 
-        monkeypatch.setattr(experiments, "_innovations", slow_innovations)
+        monkeypatch.setattr(clicks, "_innovations", slow_innovations)
         too_fast = dataclasses.replace(TINY, mean_rate_hz=1e9)  # rate * dt = 0.5
         with pytest.raises(RateTooHigh):
             _click_stream(too_fast, 3 * FIELD_CHUNK_SAMPLES * dt)
@@ -410,6 +438,27 @@ class TestClickStream:
         _, n_chunks, _ = _click_stream(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)
         assert [name for name, _ in calls].count("sample_clicks") == n_chunks == 3
         assert {thread for _, thread in calls} == {threading.main_thread()}
+
+
+class _Stop(Exception):
+    pass
+
+
+def _record_chunk_sizes(monkeypatch, stop_after=None):
+    """The sizes of the field chunks drawn from now on, in order; with
+    ``stop_after``, chunk number ``stop_after`` is recorded but not drawn:
+    _Stop is raised instead, before its buffer is written."""
+    sizes = []
+    original = clicks._innovations
+
+    def recording(rng, out, mu_dt, e_prev):
+        sizes.append(out.size)
+        if len(sizes) == stop_after:
+            raise _Stop
+        return original(rng, out, mu_dt, e_prev)
+
+    monkeypatch.setattr(clicks, "_innovations", recording)
+    return sizes
 
 
 def _recording(fn, name, calls):
@@ -745,6 +794,23 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "field chunks" in err["message"]
+
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            ("end-to-end", '{"end_to_end_duration_s": 100}'),
+            ("g2", '{"g2_n_events": 1000000000}'),
+        ],
+        ids=["end_to_end", "g2"],
+    )
+    def test_expected_clicks_error_json(self, tmp_path, capsys, command, raw):
+        # the expected click count is checked before any field is made
+        path = tmp_path / "config.json"
+        path.write_text(raw)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "clicks" in err["message"]
 
     def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):
         # every delay bin is skipped with a warning, then InsufficientPairs
