@@ -11,11 +11,13 @@ output paths, this runs
     pipeline  end-to-end + reconstruct at the perfbench ``pipeline``
               config, seed 7
 
-then prints the sha256 of every file under each run and exits 1 on any
-difference that is not listed with ``--expect-diff``.  A PATH given there
-matches every file whose path ends in it (``end_to_end/samples.csv``
-matches that file in all three runs); for an expected CSV difference the
-table also counts the changed rows and gives the largest change per column.
+and keeps each run's standard output, the CLI's JSON summaries at full
+precision, as ``<run>.stdout``.  It then prints the sha256 of every file
+under each run and of each stdout file, and exits 1 on any difference
+that is not listed with ``--expect-diff``.  A PATH given there matches
+every file whose path ends in it (``end_to_end/samples.csv`` matches that
+file in all three runs); for an expected CSV difference the table also
+counts the changed rows and gives the largest change per column.
 
 Usage:
     python scripts/check_identity.py BASE [HEAD] [--expect-diff PATH ...]
@@ -88,13 +90,16 @@ def runs(pipeline_config: Path) -> dict[str, list[list[str]]]:
 
 
 def produce(checkout: Path, pipeline_config: Path) -> dict[str, str]:
-    """Run every command in ``checkout``; sha256 of each file it wrote."""
+    """Run every command in ``checkout``; sha256 of each file it wrote and
+    of each run's stdout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    out = checkout / OUT
+    out.mkdir()
     for name, commands in runs(pipeline_config).items():
         print(f"== {checkout.name}: {name}", file=sys.stderr, flush=True)
-        for argv in commands:
-            subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL)
-    out = checkout / OUT
+        with open(out / f"{name}.stdout", "wb") as stdout:
+            for argv in commands:
+                subprocess.run(argv, cwd=checkout, env=env, check=True, stdout=stdout)
     return {
         str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))

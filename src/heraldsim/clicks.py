@@ -230,6 +230,11 @@ def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev
     return e_last
 
 
+def _check_field_step(dt_field: float) -> None:
+    if not (math.isfinite(dt_field) and dt_field > 0.0):
+        raise OutOfRange(f"field step must be positive, got {dt_field}")
+
+
 def thermal_field_chunks(
     gamma: float,
     dt_field: float,
@@ -268,6 +273,7 @@ def thermal_field_chunks(
     """
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise OutOfRange(f"bandwidth must be positive, got {gamma}")
+    _check_field_step(dt_field)
     if dt_field > 1.0 / (20.0 * gamma):
         raise ResolutionTooCoarse(
             f"dt_field {dt_field:.3e} s > 1/(20*gamma) = {1.0 / (20.0 * gamma):.3e} s"
@@ -304,7 +310,11 @@ def synthesize_thermal_field(
 ) -> FieldTrace:
     """``thermal_field_chunks`` over ``duration`` seconds as one chunk, its
     noise from ``rng_seed``; ``state`` and the limits are as there."""
-    (trace,) = thermal_field_chunks(gamma, dt_field, [round(duration / dt_field)], [rng_seed], state)
+    _check_field_step(dt_field)
+    n_samples = duration / dt_field
+    if not (math.isfinite(n_samples) and n_samples >= 0.0):
+        raise OutOfRange(f"duration must be finite and non-negative, got {duration}")
+    (trace,) = thermal_field_chunks(gamma, dt_field, [round(n_samples)], [rng_seed], state)
     return trace
 
 
@@ -361,8 +371,8 @@ def g2_histogram(stream: ClickStream, bin_width: float, max_delay: float) -> G2H
     is flat; the normalization region must hold enough pairs for < 2%
     relative error, otherwise InsufficientStatistics is raised.
     """
-    if bin_width <= 0 or max_delay <= bin_width:
-        raise OutOfRange("need 0 < bin_width < max_delay")
+    if not 0.0 < bin_width < max_delay < math.inf:
+        raise OutOfRange("need 0 < bin_width < max_delay < inf")
     times = stream.times
     n = times.size
     if n < 2:

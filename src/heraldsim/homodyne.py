@@ -6,14 +6,13 @@ Fock-state quadrature densities are squared Hermite functions
     |psi_n(x)|**2,   psi_n(x) = H_n(x) exp(-x**2/2) / sqrt(2**n n! sqrt(pi)),
 
 so <x**2> = (2n+1)/2 in Fock state n.  Samplers draw (x, theta) pairs with
-the local-oscillator phase theta uniform on [0, 2*pi); x follows the
-phase-conditional density Tr[rho |x,theta><x,theta|] via a tabulated
-inverse CDF (diagonal states, through ``fock.photon_distribution``) or
-cell-bounded rejection (single-mode states with coherences).  That density
-is <v|rho|v> with v = ``phase_projectors(x, theta, dim)``, the one
-projector the rejection test here and ``tomo.ml_full`` both evaluate.  The
-joint two-mode sampler takes phase-independent states, which every
-heralded pair state is.
+the local-oscillator phase theta uniform on [0, 2*pi).  Light heralded from
+a continuous-wave source has no phase reference, so every state sampled
+here is phase-independent: a single-mode state is Fock-diagonal, and x
+follows its mixture density through a tabulated inverse CDF; a two-mode
+state has coherences only between equal total photon numbers, which every
+heralded pair state has.  Either sampler raises InvalidDensity for any
+other state.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
@@ -46,7 +45,6 @@ X_MAX = 8.0          # quadrature range [-X_MAX, X_MAX] covers all supported sta
 GRID_1D = 2 ** 14    # nodes of the 1-d tabulated CDF
 GRID_2D = 512        # cells per axis of the 2-d joint sampler
 MAX_FOCK = 16        # guard for the Hermite recurrence
-REJECTION_GUARD = 1.02  # headroom of per-cell bounds over smooth variation
 
 
 def hermite_function(n: int, x: np.ndarray | float) -> np.ndarray:
@@ -66,14 +64,6 @@ def hermite_function(n: int, x: np.ndarray | float) -> np.ndarray:
     return psi
 
 
-def phase_projectors(x: np.ndarray, theta: np.ndarray, dim: int) -> np.ndarray:
-    """Components psi_n(x) exp(i n theta), n < dim, of the projector on the
-    outcome (x, theta): shape (dim, N) for N outcomes.  The outcome's
-    probability in state rho is <v|rho|v> with v a column."""
-    psi = np.stack([hermite_function(n, x) for n in range(dim)])
-    return psi * np.exp(1j * np.outer(np.arange(dim), theta))
-
-
 def fock_quadrature_pdf(n: int, x: np.ndarray | float) -> np.ndarray:
     """Quadrature density |psi_n(x)|**2 of Fock state n."""
     psi = hermite_function(n, x)
@@ -90,51 +80,15 @@ def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def _tabulated_inverse_cdf(pdf_nodes: np.ndarray, xs: np.ndarray):
-    """Piecewise-linear inverse CDF from pdf values on the node grid."""
-    h = xs[1] - xs[0]
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf_nodes[1:] + pdf_nodes[:-1]) * h)])
-    total = cdf[-1]
-    if total <= 0.0:
-        raise InvalidDensity("quadrature density has no mass on the sampling range")
-    cdf /= total
-
-    def draw(u: np.ndarray) -> np.ndarray:
-        return np.interp(u, cdf, xs)
-
-    return draw
-
-
-def _phase_blocks_1d(rho: np.ndarray, xs: np.ndarray):
-    """Split p(x|theta) into phase harmonics.
-
-    Returns (g0, harmonics) with p(x|theta) = g0(x) +
-    2*sum_d Re[G_d(x) * exp(i*d*theta)], harmonics keyed by d > 0.
-    """
-    dim = rho.shape[0]
-    psi = np.stack([hermite_function(n, xs) for n in range(dim)])
-    g0 = np.zeros_like(xs)
-    harmonics: dict[int, np.ndarray] = {}
-    for m in range(dim):
-        for n in range(dim):
-            if rho[m, n] == 0.0:
-                continue
-            d = n - m
-            term = rho[m, n] * psi[m] * psi[n]
-            if d == 0:
-                g0 += term.real
-            elif d > 0:
-                harmonics[d] = harmonics.get(d, np.zeros_like(xs, dtype=complex)) + term
-    return g0, harmonics
-
-
 def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
-    """Draw ``count`` (x, theta) pairs from a single-mode density matrix.
+    """Draw ``count`` (x, theta) pairs from a Fock-diagonal single-mode
+    density matrix.
 
-    theta is uniform on [0, 2*pi).  For Fock-diagonal states x comes from
-    the tabulated inverse CDF of the phase-independent mixture density;
-    otherwise a per-cell bounded rejection sampler handles the
-    phase-dependent coherence terms exactly.
+    theta is uniform on [0, 2*pi), and x follows the phase-independent
+    mixture density through the piecewise-linear inverse of its
+    trapezoid-rule CDF on GRID_1D nodes over [-X_MAX, X_MAX].  Every
+    reduction of a heralded pair state to one mode is diagonal; a coherence
+    of 1e-12 or more raises InvalidDensity.
 
     Returns an array of shape (count, 2) with columns (x, theta).
     Deterministic for a fixed seed.
@@ -145,56 +99,20 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
     check_density(rho)
     if rho.shape[0] - 1 > MAX_FOCK:
         raise CutoffExceeded(f"density matrix cutoff {rho.shape[0] - 1} > {MAX_FOCK}")
+    coherence = float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
+    if coherence >= 1e-12:
+        raise InvalidDensity(
+            f"coherence {coherence:.2e} between unequal photon numbers; "
+            "the quadrature sampler needs a Fock-diagonal density"
+        )
     rng = np.random.default_rng(rng_seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
     xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
-    offdiag = rho - np.diag(np.diag(rho))
-    if np.max(np.abs(offdiag)) < 1e-12:
-        draw = _tabulated_inverse_cdf(mixture_pdf(photon_distribution(rho), xs), xs)
-        x = draw(rng.uniform(0.0, 1.0, size=count))
-        return np.column_stack([x, theta])
-
-    # coherent case: rejection against a per-cell phase-independent bound;
-    # the phases drawn above go unused, but the seeded draws below follow them
-    g0, harmonics = _phase_blocks_1d(rho, xs)
-    bound_nodes = g0 + sum(2.0 * np.abs(g) for g in harmonics.values())
-    cell_bound = np.maximum(bound_nodes[1:], bound_nodes[:-1]) * REJECTION_GUARD
-    propose = _cell_proposal(rng, xs, cell_bound * (xs[1] - xs[0]), cell_bound)
-    dim = rho.shape[0]
-    parts = []
-    filled = 0
-    while filled < count:
-        # draw order per batch, which fixes the stream: cell, jitter, phase,
-        # then u; a point is kept when u * bound <= p(x | theta)
-        todo = count - filled
-        batch = max(int(todo * 1.5) + 16, 64)
-        (xv, tv), bound = propose(batch)
-        u = rng.uniform(0.0, 1.0, size=batch)
-        w = phase_projectors(xv, tv, dim)
-        accept = u * bound <= np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w))
-        idx = np.nonzero(accept)[0][:todo]
-        parts.append(np.column_stack([xv[idx], tv[idx]]))
-        filled += idx.size
-    return np.concatenate(parts)
-
-
-def _cell_proposal(
-    rng: np.random.Generator, edges: np.ndarray, weights: np.ndarray, bound: np.ndarray
-):
-    """Proposal ``propose(n) -> ((x_1, ..., x_k, theta), cell bounds)``: cells
-    drawn in proportion to ``weights``, a uniform jitter inside each cell on
-    every axis of the uniform grid ``edges``, then a uniform phase."""
-    cdf = np.cumsum(weights)
+    pdf = mixture_pdf(photon_distribution(rho), xs)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])
     cdf /= cdf[-1]
-    h = edges[1] - edges[0]
-
-    def propose(n: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        cell = np.unravel_index(np.searchsorted(cdf, rng.uniform(0.0, 1.0, size=n)), bound.shape)
-        xs = tuple(edges[i] + h * rng.uniform(0.0, 1.0, size=n) for i in cell)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        return xs + (theta,), bound[cell]
-
-    return propose
+    x = np.interp(rng.uniform(0.0, 1.0, size=count), cdf, xs)
+    return np.column_stack([x, theta])
 
 
 def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
@@ -233,7 +151,14 @@ def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.nd
     psi = np.stack([hermite_function(n, centers) for n in range(d)])  # (d, G)
     g0 = np.einsum("mnop,ma,oa,nb,pb->ab", r4 * same_total, psi, psi, psi, psi, optimize=True)
     g0 = np.clip(g0.real, 0.0, None)
-    return np.column_stack(_cell_proposal(rng, edges, g0, g0)(count)[0])
+    cdf = np.cumsum(g0)
+    cdf /= cdf[-1]
+    # draw order, which fixes the stream: cell, jitter on each axis, phase
+    cell = np.unravel_index(np.searchsorted(cdf, rng.uniform(0.0, 1.0, size=count)), g0.shape)
+    h = edges[1] - edges[0]
+    x1, x2 = (edges[i] + h * rng.uniform(0.0, 1.0, size=count) for i in cell)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    return np.column_stack([x1, x2, theta])
 
 
 def _check_analysis_pair(f1: ModeFunction, f2: ModeFunction) -> None:

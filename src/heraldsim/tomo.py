@@ -18,10 +18,9 @@ leaves the batch, so its result is the one a single-row run would give.
 ``ml_diagonal`` runs it once on the data histogram stacked with its
 multinomial resamples; a resample occupies only bins the data occupies, so
 the data row's fit is the one-row fit bit for bit, and the replicate rows'
-spread is the ``stderr`` that ``bootstrap_stderr`` returns.  ``ml_full``
-keeps the phases and iterates R(rho) rho R(rho) with trace
-renormalization over the projectors of ``homodyne.phase_projectors``,
-reconstructing the full density matrix (coherences included).
+spread is the result's ``stderr``.  The phases are not needed: the
+heralded states are Fock-diagonal, so the photon-number distribution is
+all there is to reconstruct.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
-from .homodyne import X_MAX, hermite_function, phase_projectors
+from .homodyne import X_MAX, hermite_function
 
 # Gauss-Legendre order per bin; exact to machine precision for the smooth
 # squared Hermite functions at the default binning.
@@ -52,7 +51,7 @@ class MLConfig:
     def __post_init__(self) -> None:
         if self.cutoff < 2:
             raise CutoffExceeded(f"cutoff must be >= 2, got {self.cutoff}")
-        if self.max_iters < 1 or self.tol <= 0.0 or self.n_bins < 64:
+        if self.max_iters < 1 or not self.tol > 0.0 or self.n_bins < 64:
             raise OutOfRange("invalid iteration settings")
 
 
@@ -255,69 +254,3 @@ def ml_diagonal(
         ll_history=history[0],
         stderr=probs[1:].std(axis=0, ddof=1) if n_boot else None,
     )
-
-
-def ml_full(samples: np.ndarray, config: MLConfig = MLConfig()) -> tuple[np.ndarray, MLResult]:
-    """Full density-matrix reconstruction via iterated R(rho) rho R(rho).
-
-    ``samples`` must be an (N, 2) array of (x, theta) rows.  Projector
-    vectors  v_n = psi_n(x) exp(i n theta)  from ``phase_projectors`` enter
-    R = (1/N) sum_k |v_k><v_k| / p_k  with p_k = <v_k|rho|v_k>; each step
-    conjugates rho by R and renormalizes the trace.  Returns the density
-    matrix and an MLResult with its diagonal.
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise EmptyInput("no quadrature samples")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise OutOfRange("ml_full needs (N, 2) samples of (x, theta)")
-    if arr.shape[0] < 10_000:
-        warnings.warn(
-            f"only {arr.shape[0]} samples; full reconstruction wants >= 1e4",
-            stacklevel=2,
-        )
-    x, theta = arr[:, 0], arr[:, 1]
-    dim = config.cutoff + 1
-    w = phase_projectors(x, theta, dim)
-    rho = np.eye(dim, dtype=complex) / dim
-    ll_prev = -np.inf
-    history = []
-    converged = False
-    iters = 0
-    n_samp = x.size
-    for iters in range(1, config.max_iters + 1):
-        probs_k = np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w))
-        probs_k = np.maximum(probs_k, 1e-300)
-        ll = float(np.sum(np.log(probs_k)))
-        history.append(ll)
-        r_op = (w / probs_k) @ w.conj().T / n_samp
-        rho = r_op @ rho @ r_op
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.real(np.trace(rho))
-        if ll_prev != -np.inf and abs(ll - ll_prev) <= config.tol * abs(ll_prev):
-            converged = True
-            break
-        ll_prev = ll
-    probs_k = np.maximum(np.real(np.einsum("in,ij,jn->n", w.conj(), rho, w)), 1e-300)
-    history.append(float(np.sum(np.log(probs_k))))
-    diag = np.clip(np.real(np.diag(rho)), 0.0, None)
-    result = MLResult(
-        probs=diag / diag.sum(),
-        log_likelihood=history[-1],
-        iterations=iters,
-        converged=converged,
-        cutoff=config.cutoff,
-        ll_history=np.array(history),
-    )
-    return rho, result
-
-
-def bootstrap_stderr(
-    samples: np.ndarray, config: MLConfig = MLConfig(), n_boot: int = 16, rng_seed: int = 0
-) -> np.ndarray:
-    """Standard error of the EM probabilities by multinomial resampling of
-    the binned histogram: the ``stderr`` of ``ml_diagonal`` with the same
-    arguments.  Needs ``n_boot`` >= 2 for the ddof=1 spread."""
-    if n_boot < 2:
-        raise OutOfRange(f"bootstrap needs at least 2 replicates, got {n_boot}")
-    return ml_diagonal(samples, config, n_boot, rng_seed).stderr

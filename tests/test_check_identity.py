@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_identity.py"
@@ -80,3 +82,22 @@ def test_expect_diff_takes_several_paths_per_flag():
     )
     assert (repeated.head, repeated.expect_diff) == ("NEW", paths)
     assert check_identity.parse_args(["BASE"]).expect_diff == []
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_produce_hashes_each_runs_stdout(tmp_path, monkeypatch):
+    # the two commands of one run share one stdout file, kept next to the
+    # files the run writes
+    write = "import pathlib; p = pathlib.Path('identity_out/a'); p.mkdir(); (p / 'f.txt').write_text('f')"
+    monkeypatch.setattr(check_identity, "runs", lambda config: {
+        "a": [[sys.executable, "-c", write], [sys.executable, "-c", "print(0.1 + 0.2)"]],
+        "b": [[sys.executable, "-c", "print('{}')"]],
+    })
+    assert check_identity.produce(tmp_path, tmp_path / "config.json") == {
+        "a/f.txt": sha("f"),
+        "a.stdout": sha("0.30000000000000004\n"),
+        "b.stdout": sha("{}\n"),
+    }

@@ -24,6 +24,7 @@ from heraldsim.clicks import (
     sample_clicks,
     select_coincidences,
     synthesize_thermal_field,
+    thermal_field_chunks,
     write_g2_csv,
 )
 from heraldsim.errors import (
@@ -116,6 +117,26 @@ class TestThermalField:
     def test_bad_gamma(self):
         with pytest.raises(OutOfRange):
             synthesize_thermal_field(-1.0, 1e-4, DT_FIELD, rng_seed=1)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1e-4, 1e300])
+    def test_bad_duration(self, duration):
+        with pytest.raises(OutOfRange, match="duration"):
+            synthesize_thermal_field(GAMMA, duration, DT_FIELD, rng_seed=1)
+
+    @pytest.mark.parametrize("dt_field", [math.nan, math.inf, 0.0, -DT_FIELD])
+    def test_bad_field_step(self, dt_field):
+        with pytest.raises(OutOfRange, match="field step"):
+            synthesize_thermal_field(GAMMA, 1e-4, dt_field, rng_seed=1)
+
+    @pytest.mark.parametrize("state", [None, (0j, 0j, 0j)], ids=["fresh", "continued"])
+    @pytest.mark.parametrize("dt_field", [math.nan, math.inf, 0.0, -DT_FIELD])
+    def test_chunks_reject_bad_field_step_before_drawing(self, monkeypatch, dt_field, state):
+        def no_draw(*args):
+            raise AssertionError("innovations drawn for an invalid field step")
+
+        monkeypatch.setattr("heraldsim.clicks._innovations", no_draw)
+        with pytest.raises(OutOfRange, match="field step"):
+            next(thermal_field_chunks(GAMMA, dt_field, [4096, 4096], [1, 2], state))
 
     @pytest.mark.parametrize("mu_dt", MU_DT, ids=["coarse_limit", "default"])
     def test_recursion_autocovariance_exact(self, mu_dt):
@@ -242,6 +263,9 @@ class TestG2Histogram:
             g2_histogram(stream, bin_width=0.0, max_delay=60e-9)
         with pytest.raises(OutOfRange):
             g2_histogram(stream, bin_width=1e-9, max_delay=0.5e-9)
+        for bin_width, max_delay in [(1e-9, math.nan), (1e-9, math.inf), (math.nan, 60e-9)]:
+            with pytest.raises(OutOfRange):
+                g2_histogram(stream, bin_width=bin_width, max_delay=max_delay)
 
 
 class TestSelectCoincidences:

@@ -49,6 +49,7 @@ from heraldsim.experiments import (
 )
 from heraldsim.fock import density_matrix_from_json, photon_distribution, reduce_to_mode
 from heraldsim.homodyne import sample_quadratures
+from heraldsim.modes import ModeFunction, extend_orthonormal_basis
 
 from conftest import ETA, GAMMA
 from test_homodyne import KS_CRIT_1PC, ks_statistic
@@ -513,6 +514,24 @@ def test_scene_closed_forms_match_its_fock_state(delta_t_ns):
         exact = photon_distribution(reduce_to_mode(scene.state, mode)).probs
         np.testing.assert_allclose(exact[:3], scene.analytic[name].probs, rtol=0, atol=1e-12)
         np.testing.assert_allclose(exact[3:], 0.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("delta_t_ns", [0.0, 2.0, 10.0, 40.0])
+def test_scene_reductions_are_exactly_diagonal(delta_t_ns):
+    # the heralds carry no phase reference, so every coherence of the scene
+    # state joins equal total photon numbers and every one-mode reduction is
+    # Fock-diagonal, which sample_quadratures requires; also for a mode
+    # outside span{g1, g2} and for one that is half outside it
+    scene = _build_scene(TINY, delta_t_ns * 1e-9)
+    g1, g2 = scene.modes["g1"], scene.modes["g2"]
+    seeds = [g1] if delta_t_ns == 0.0 else [g1, g2]
+    outside = extend_orthonormal_basis(seeds, TINY.grid(), len(seeds) + 1)[-1]
+    half = ModeFunction(
+        grid=outside.grid, samples=(g1.samples + outside.samples) / math.sqrt(2.0), normalized=True
+    )
+    for mode in [*scene.modes.values(), outside, half]:
+        rho = reduce_to_mode(scene.state, mode)
+        assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

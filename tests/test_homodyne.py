@@ -30,7 +30,6 @@ from heraldsim.homodyne import (
     hermite_function,
     joint_sample_two_modes,
     mixture_pdf,
-    phase_projectors,
     project_trace,
     sample_quadratures,
     synthesize_trace_batch,
@@ -104,15 +103,6 @@ class TestHermiteFunctions:
         with pytest.raises(CutoffExceeded):
             hermite_function(-1, 0.0)
 
-    def test_phase_projectors(self):
-        # the expression the coherent sampler and ml_full each built before
-        rng = np.random.default_rng(8)
-        x, theta = rng.uniform(-X_MAX, X_MAX, 50), rng.uniform(0.0, 2.0 * math.pi, 50)
-        psi = np.stack([hermite_function(n, x) for n in range(6)])
-        np.testing.assert_array_equal(
-            phase_projectors(x, theta, 6), psi * np.exp(1j * np.outer(np.arange(6), theta))
-        )
-
 
 class TestQuadraturePdfs:
     @pytest.mark.parametrize("n", range(5))
@@ -166,15 +156,12 @@ class TestSampleQuadratures:
         d = ks_statistic(x, dist)
         assert d * math.sqrt(x.size) < KS_CRIT_1PC
 
-    def test_phase_dependent_mean(self):
-        # superposition (|0> + |1>)/sqrt(2): E[x | theta] = cos(theta)/sqrt(2)
+    def test_coherent_superposition_rejected(self):
+        # (|0> + |1>)/sqrt(2) has E[x | theta] = cos(theta)/sqrt(2): its
+        # quadrature density depends on the phase
         rho = 0.5 * np.ones((2, 2), dtype=complex)
-        samples = sample_quadratures(rho, 200_000, rng_seed=15)
-        x, theta = samples[:, 0], samples[:, 1]
-        # E[x cos(theta)] = E[cos**2]/sqrt(2) = 1/(2 sqrt(2))
-        assert np.mean(x * np.cos(theta)) == pytest.approx(
-            1.0 / (2.0 * math.sqrt(2.0)), abs=0.01
-        )
+        with pytest.raises(InvalidDensity, match="Fock-diagonal"):
+            sample_quadratures(rho, 100, rng_seed=15)
 
     def test_deterministic(self):
         rho = np.diag([0.3, 0.7]).astype(complex)

@@ -1,5 +1,5 @@
 """Maximum-likelihood photon-number tomography: binned POVM, EM fixed
-point, full density-matrix iteration, bootstrap errors.
+point, bootstrap errors.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from heraldsim.tomo import (
     MLConfig,
     _em,
     _histogram,
-    bootstrap_stderr,
     build_povm,
     ml_diagonal,
-    ml_full,
 )
 
 from conftest import ETA, GAMMA
@@ -168,7 +166,7 @@ class TestMlDiagonal:
         with pytest.raises(OutOfRange, match="not finite"):
             ml_diagonal(samples)
         with pytest.raises(OutOfRange, match="not finite"):
-            bootstrap_stderr(samples)
+            ml_diagonal(samples, MLConfig(), 16, 0)
 
     def test_json_keys(self):
         result = ml_diagonal(draws([1.0], 2_000, seed=210))
@@ -244,47 +242,18 @@ class TestEmKernel:
         assert not converged[0]
 
 
-class TestMlFull:
-    def test_recovers_vacuum_matrix(self):
-        rho, result = ml_full(draws([1.0], 20_000, seed=211), MLConfig(max_iters=300))
-        assert rho[0, 0].real > 0.98
-        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-        assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
-
-    def test_diagonal_matches_em(self):
-        samples = draws(LOSSY_TWO_PHOTON, 30_000, seed=212)
-        rho, result = ml_full(samples, MLConfig(max_iters=300))
-        em = ml_diagonal(samples)
-        np.testing.assert_allclose(result.probs[:3], em.probs[:3], atol=0.02)
-        # phase-averaged data carry no coherence
-        offdiag = rho - np.diag(np.diag(rho))
-        assert float(np.max(np.abs(offdiag))) < 0.03
-
-    def test_requires_phase_column(self):
-        with pytest.raises(OutOfRange):
-            ml_full(np.zeros(100))
-
-    def test_small_sample_warning(self):
-        with pytest.warns(UserWarning, match="full reconstruction"):
-            ml_full(draws([1.0], 2_000, seed=213), MLConfig(max_iters=50))
-
-    def test_empty_input(self):
-        with pytest.raises(EmptyInput):
-            ml_full(np.empty((0, 2)))
-
-
 class TestBootstrapStderr:
     def test_positive_and_deterministic(self):
         samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=214)
-        a = bootstrap_stderr(samples, rng_seed=3)
-        b = bootstrap_stderr(samples, rng_seed=3)
+        a = ml_diagonal(samples, MLConfig(), 16, 3).stderr
+        b = ml_diagonal(samples, MLConfig(), 16, 3).stderr
         np.testing.assert_array_equal(a, b)
         assert a.shape == (6,)
         assert np.all(a[:3] > 0.0)
 
     def test_scales_with_sample_size(self):
-        small = bootstrap_stderr(draws(LOSSY_TWO_PHOTON, 4_000, seed=215), rng_seed=4)
-        large = bootstrap_stderr(draws(LOSSY_TWO_PHOTON, 40_000, seed=216), rng_seed=4)
+        small = ml_diagonal(draws(LOSSY_TWO_PHOTON, 4_000, seed=215), MLConfig(), 16, 4).stderr
+        large = ml_diagonal(draws(LOSSY_TWO_PHOTON, 40_000, seed=216), MLConfig(), 16, 4).stderr
         ratio = float(np.max(small[:3]) / np.max(large[:3]))
         # expect ~ sqrt(10); bootstrap noise with 16 reps keeps this loose
         assert 1.5 < ratio < 6.5
@@ -293,13 +262,13 @@ class TestBootstrapStderr:
         n = 20_000
         samples = draws(LOSSY_TWO_PHOTON, n, seed=217)
         probs = ml_diagonal(samples).probs
-        se = bootstrap_stderr(samples, rng_seed=5)
+        se = ml_diagonal(samples, MLConfig(), 16, 5).stderr
         pulls = np.abs(probs[:3] - LOSSY_TWO_PHOTON) / np.maximum(se[:3], 1e-12)
         assert float(np.max(pulls)) < 5.0
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            bootstrap_stderr(np.array([]))
+            ml_diagonal(np.array([]), MLConfig(), 16, 0)
 
     def test_matches_single_draw_loop(self):
         samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=214)
@@ -312,20 +281,20 @@ class TestBootstrapStderr:
             for _ in range(16)
         ]
         expected = np.std(reps, axis=0, ddof=1)
-        np.testing.assert_array_equal(bootstrap_stderr(samples, config, rng_seed=3), expected)
+        np.testing.assert_array_equal(ml_diagonal(samples, config, 16, 3).stderr, expected)
 
     def test_unconverged_replicates_warn(self):
         samples = draws(LOSSY_TWO_PHOTON, 2_000, seed=220)
         with pytest.warns(UserWarning, match="4 of 4 bootstrap replicates stopped unconverged"):
-            bootstrap_stderr(samples, MLConfig(max_iters=5), n_boot=4)
+            ml_diagonal(samples, MLConfig(max_iters=5), 4, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bootstrap_stderr(samples, n_boot=4)
+            ml_diagonal(samples, MLConfig(), 4, 0)
 
-    @pytest.mark.parametrize("n_boot", [0, 1])
+    @pytest.mark.parametrize("n_boot", [1])
     def test_needs_two_replicates(self, n_boot):
         with pytest.raises(OutOfRange, match="at least 2"):
-            bootstrap_stderr(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), n_boot=n_boot)
+            ml_diagonal(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), MLConfig(), n_boot)
 
 
 def with_far_tail(samples):
@@ -372,7 +341,6 @@ class TestOneBatchFit:
         expected = np.std([reference_em(r, pi, config)[0] for r in resampled], axis=0, ddof=1)
         fit = ml_diagonal(samples, config, n_boot, seed)
         np.testing.assert_array_equal(fit.stderr, expected)
-        np.testing.assert_array_equal(bootstrap_stderr(samples, config, n_boot, seed), expected)
 
     @pytest.mark.parametrize("n_boot", [-1, 1])
     def test_one_replicate_has_no_spread(self, n_boot):
@@ -400,3 +368,5 @@ class TestMlConfig:
             MLConfig(max_iters=0)
         with pytest.raises(OutOfRange):
             MLConfig(tol=0.0)
+        with pytest.raises(OutOfRange):
+            MLConfig(tol=math.nan)
