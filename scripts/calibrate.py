@@ -4,9 +4,9 @@
 Point mode reruns one sweep's fits at M config seeds and asks whether
 each stderr describes the spread of its estimate.  For a config, an
 analysis mode and a list of delays, config seed s gives each delay k the
-seed pair that ``experiments._sweep`` gives it (``_derive_seeds(s,
-2 * len(delays))``, sample seed 2k, fit seed 2k + 1), and the fit runs the
-drivers' own reduce -> ``sample_quadratures`` -> ``ml_diagonal`` path.
+sample seed that ``experiments._sweep`` gives it (seed 2k of
+``_derive_seeds(s, 2 * len(delays))``), and the fit runs the drivers' own
+reduce -> ``sample_quadratures`` -> ``ml_diagonal`` path.
 Per (delay, n) it reports the closed form, the mean estimate, the
 empirical sd, the mean stderr, the sd of the pulls (estimate - closed
 form) / stderr, the fraction of |pull| beyond 1, 2 and 3 and the largest
@@ -89,10 +89,10 @@ def pooled_stats(pulls: np.ndarray) -> dict:
     }
 
 
-def fit_point(config: ExperimentConfig, rho: np.ndarray, sample_seed: int, fit_seed: int):
+def fit_point(config: ExperimentConfig, rho: np.ndarray, sample_seed: int):
     """One fit as a sweep makes it: probabilities and stderr."""
     samples = sample_quadratures(rho, config.samples_per_point, sample_seed)
-    result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, fit_seed)
+    result = ml_diagonal(samples, config.ml_config())
     return result.probs, result.stderr
 
 
@@ -108,7 +108,7 @@ def point_mode(config: ExperimentConfig, modes: list[str], seeds: list[int]) -> 
         scene = _build_scene(config, delta_ns * 1e-9)
         for mode in modes:
             rho = reduce_to_mode(scene.state, scene.modes[mode])
-            fits = [fit_point(config, rho, pair[2 * k], pair[2 * k + 1]) for pair in layout]
+            fits = [fit_point(config, rho, seeds[2 * k]) for seeds in layout]
             probs = np.array([p for p, _ in fits])
             stderr = np.array([s for _, s in fits])
             truth = np.zeros(dim)

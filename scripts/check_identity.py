@@ -16,8 +16,11 @@ precision, as ``<run>.stdout``.  It then prints the sha256 of every file
 under each run and of each stdout file, and exits 1 on any difference
 that is not listed with ``--expect-diff``.  A PATH given there matches
 every file whose path ends in it (``end_to_end/samples.csv`` matches that
-file in all three runs); for an expected CSV difference the table also
-counts the changed rows and gives the largest change per column.
+file in all three runs).  For an expected CSV difference the table also
+counts the changed rows and gives the largest change per column; for an
+expected JSON file or stdout difference it counts the changed values and
+gives the largest change per key path, its list indices written ``[*]``
+(``bins[*].stderr[*]``), or a key found on one side only.
 
 Usage:
     python scripts/check_identity.py BASE [HEAD] [--expect-diff PATH ...]
@@ -34,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -151,6 +155,54 @@ def csv_changes(a: Path, b: Path) -> str:
     return f"{changed} of {len(ra) - 1} rows differ; largest change: {moved}"
 
 
+def json_documents(path: Path) -> list:
+    """The JSON values in a file, one after another: a .json file holds one,
+    a run's stdout one per CLI call."""
+    text, decoder, docs, at = path.read_text(), json.JSONDecoder(), [], 0
+    while text[at:].strip():
+        at += len(text[at:]) - len(text[at:].lstrip())
+        value, at = decoder.raw_decode(text, at)
+        docs.append(value)
+    return docs
+
+
+def json_leaves(value, path: str = "") -> dict:
+    """Every leaf of a JSON value by its key path, as ``bins[4].stderr[2]``."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else str(key), item) for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{k}]", item) for k, item in enumerate(value)]
+    else:
+        return {path: value}
+    return {leaf: v for key, item in items for leaf, v in json_leaves(item, key).items()}
+
+
+def json_changes(a: Path, b: Path) -> str:
+    """Changed leaves of two JSON files (or JSON stdouts) and, per key path
+    with its list indices as ``[*]``, the largest change."""
+    da, db = json_documents(a), json_documents(b)
+    la, lb = (json_leaves(d[0] if len(d) == 1 else d) for d in (da, db))
+    missing = object()
+    changed, largest = 0, {}
+    for path in sorted(set(la) | set(lb), key=lambda p: (re.sub(r"\[\d+\]", "[*]", p), p)):
+        x, y = la.get(path, missing), lb.get(path, missing)
+        if type(x) is type(y) and x == y:
+            continue
+        changed += 1
+        key = re.sub(r"\[\d+\]", "[*]", path)
+        if missing in (x, y):
+            largest[key] = "only in " + ("head" if x is missing else "base")
+        elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            previous = largest.get(key, 0.0)
+            largest[key] = max(previous, float(abs(x - y))) if isinstance(previous, float) else previous
+        else:
+            largest[key] = f"{json.dumps(x)} -> {json.dumps(y)}"
+    moved = ", ".join(
+        f"{k} {v:.1e}" if isinstance(v, float) else f"{k} {v}" for k, v in largest.items()
+    ) or "none"
+    return f"{changed} of {len(set(la) | set(lb))} values differ; largest change: {moved}"
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="base commit")
@@ -177,8 +229,11 @@ def main() -> int:
         print(f"{'file':<44} {'base':<12} {'head':<12} status")
         for path, a, b, status in rows:
             note = status
-            if status == "differs (expected)" and path.endswith(".csv") and "-" not in (a, b):
-                note += ": " + csv_changes(tmp / "base" / OUT / path, tmp / "head" / OUT / path)
+            if status == "differs (expected)" and "-" not in (a, b):
+                changes = {".csv": csv_changes, ".json": json_changes, ".stdout": json_changes}
+                describe = changes.get(Path(path).suffix)
+                if describe:
+                    note += ": " + describe(tmp / "base" / OUT / path, tmp / "head" / OUT / path)
             print(f"{path:<44} {a[:12]:<12} {b[:12]:<12} {note}")
         same = sum(status == "same" for *_, status in rows)
         print(f"\n{same} of {len(rows)} files identical; {'OK' if ok else 'UNEXPECTED DIFFERENCES'}")

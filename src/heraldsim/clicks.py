@@ -270,6 +270,9 @@ def thermal_field_chunks(
         If a field that is not continued (no ``state``) spans less than
         100/gamma to the nearest sample, too few coherence cells for its
         statistics.
+    OutOfRange
+        Unless there is at least one chunk, each of at least 2 samples, and
+        one seed per chunk; checked before any buffer, thread or draw.
     """
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise OutOfRange(f"bandwidth must be positive, got {gamma}")
@@ -281,6 +284,11 @@ def thermal_field_chunks(
     duration = sum(sizes) * dt_field
     if state is None and duration + 0.5 * dt_field < 100.0 / gamma:
         raise DurationTooShort(f"duration {duration:.3e} s < 100/gamma = {100.0 / gamma:.3e} s")
+    if not (len(sizes) and min(sizes) >= 2 and len(seeds) == len(sizes)):
+        raise OutOfRange(
+            f"need at least one chunk of at least 2 samples and one seed per chunk; got "
+            f"{len(sizes)} chunks (smallest {min(sizes, default=0)}) and {len(seeds)} seeds"
+        )
     mu_dt = math.pi * gamma * dt_field
     buffers = [np.empty(max(sizes), dtype=complex) for _ in sizes[:2]]
     rng = np.random.default_rng(seeds[0])

@@ -26,6 +26,11 @@ picks a mode by name, reduces the state to it, draws (x, theta) with
 ``sample_quadratures`` and fits them; ``end_to_end`` does so per delay
 bin with f1, and both sweeps are ``_sweep`` with their own mode and
 photon numbers.
+
+Each fit's stderr is ``ml_diagonal``'s observed-information error, so a
+fit draws no random numbers.  Every driver still derives a (sample, fit)
+seed pair per fit and leaves the fit seed unused: keeping that layout
+keeps every sample stream.
 """
 
 from __future__ import annotations
@@ -78,10 +83,10 @@ from .tomo import MLConfig, ml_diagonal
 # samples, split evenly, each continuing the last; it bounds memory, and
 # the chunking fixes the seed stream.
 FIELD_CHUNK_SAMPLES = 2**18
-# Most grid samples, g2 bins, delay bins, field chunks, POVM bins or bootstrap
-# histogram cells (by default 5,001, 120, 33, 153, 611, 256 and 4,096) a config
-# may ask for.  Each count sizes an array or a list, so a mistyped value far
-# beyond it would exhaust memory or raise a bare ValueError deep in a driver.
+# Most grid samples, g2 bins, delay bins, field chunks or POVM bins (by
+# default 5,001, 120, 33, 153, 611 and 256) a config may ask for.  Each
+# count sizes an array or a list, so a mistyped value far beyond it would
+# exhaust memory or raise a bare ValueError deep in a driver.
 MAX_ARRAY_LENGTH = 10**6
 # Most clicks a config may expect, g2_n_events or mean_rate_hz *
 # end_to_end_duration_s: their times are held in memory, twice while they
@@ -122,7 +127,6 @@ class ExperimentConfig:
     # reconstruction
     tomo_cutoff: int = 5
     tomo_n_bins: int = 256
-    bootstrap_reps: int = 16
 
     def __post_init__(self) -> None:
         positive = (
@@ -144,7 +148,6 @@ class ExperimentConfig:
             ("g2 field chunks", self.g2_n_events / self.mean_rate_hz / field_chunk_s, MAX_ARRAY_LENGTH),
             ("end-to-end field chunks", self.end_to_end_duration_s / field_chunk_s, MAX_ARRAY_LENGTH),
             ("POVM bins", self.tomo_n_bins, MAX_ARRAY_LENGTH),
-            ("bootstrap histogram cells", self.bootstrap_reps * self.tomo_n_bins, MAX_ARRAY_LENGTH),
             ("g2 clicks", self.g2_n_events, MAX_CLICKS),
             ("end-to-end clicks", self.mean_rate_hz * self.end_to_end_duration_s, MAX_CLICKS),
         ):
@@ -152,8 +155,6 @@ class ExperimentConfig:
                 raise OutOfRange(f"{name} {count:.3g} exceed the limit {limit:,}")
         if self.rng_seed < 0:
             raise OutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
-        if self.bootstrap_reps < 2:
-            raise OutOfRange(f"bootstrap_reps must be at least 2, got {self.bootstrap_reps}")
         if not (0.0 <= self.eta <= 1.0):
             raise OutOfRange(f"eta must lie in [0, 1], got {self.eta}")
         if not self.dead_time_ns >= 0.0:  # also catches NaN
@@ -343,13 +344,15 @@ def _sweep(
     and returned.
     """
     out = _prepare_out_dir(config, out_dir, name)
+    # point k samples from seed 2k; the odd seeds are unused, and keeping
+    # the layout keeps every point's samples
     seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
     table = []
     for k, delta_ns in enumerate(config.delays_ns):
         scene = _build_scene(config, delta_ns * 1e-9)
         rho = reduce_to_mode(scene.state, scene.modes[mode])
         samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
-        result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, seeds[2 * k + 1])
+        result = ml_diagonal(samples, config.ml_config())
         analytic = scene.analytic[mode]
         per_n = [(analytic.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
         table.append([delta_ns, *(value for triple in per_n for value in triple)])
@@ -435,13 +438,14 @@ def run_fock_panels(
     scene = _build_scene(config, delta_t_ns * 1e-9)
     if "f2" not in scene.modes:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
+    # as in _sweep: mode k samples from seed 2k, and the odd seeds are unused
     seeds = _derive_seeds(config.rng_seed, 2 * len(scene.modes))
     outputs = []
     panels = {}
     for k, (name, mode) in enumerate(scene.modes.items()):
         rho = reduce_to_mode(scene.state, mode)
         samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
-        result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, seeds[2 * k + 1])
+        result = ml_diagonal(samples, config.ml_config())
         panel = {
             "mode": name,
             "delta_t_ns": delta_t_ns,
@@ -487,6 +491,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
     edges = bin_width * np.arange(n_bins + 1)
     which = np.clip(np.searchsorted(edges, delays, side="right") - 1, 0, n_bins - 1)
+    # as in _sweep: bin b samples from seed 2b, and the odd seeds are unused
     bin_seeds = _derive_seeds(pair_seed ^ 0xE2E, 2 * n_bins)
     sample_rows = []
     bins_report = []
@@ -513,18 +518,12 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         rho = reduce_to_mode(scene.state, scene.modes["f1"])
         samples = sample_quadratures(rho, idx.size, bin_seeds[2 * b])
         sample_rows.append(np.column_stack([samples, delays[idx] * 1e9]))
-        result = ml_diagonal(samples, config.ml_config(), config.bootstrap_reps, bin_seeds[2 * b + 1])
+        result = ml_diagonal(samples, config.ml_config())
         analytic = scene.analytic["f1"]
         entry["reconstruction"] = result.to_json_dict()
         entry["stderr"] = [float(s) for s in result.stderr]
         entry["analytic_probs"] = [float(p) for p in analytic.probs]
-        # a stderr below what idx.size counts resolve means every bootstrap
-        # replicate hit the same boundary: no pull, rather than a huge one
-        entry["P2_pull"] = (
-            float((result.probs[2] - analytic.p(2)) / result.stderr[2])
-            if result.stderr[2] >= 1.0 / idx.size
-            else None
-        )
+        entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
         bins_report.append(entry)
         n_reconstructed += 1
     if n_reconstructed == 0:
@@ -556,13 +555,12 @@ def reconstruct_samples(
 ) -> dict:
     """Tomography of an existing quadrature CSV (columns x[,theta_rad[,...]]).
 
-    Writes reconstruction.json holding the tomography output plus
-    bootstrap standard errors.
+    Writes reconstruction.json holding the tomography output plus its
+    standard errors.
     """
     out = _prepare_out_dir(config, out_dir, "reconstruct")
     x = _read_samples_csv(samples_csv)
-    seed = _derive_seeds(config.rng_seed, 1)[0]
-    result = ml_diagonal(x, config.ml_config(), config.bootstrap_reps, seed)
+    result = ml_diagonal(x, config.ml_config())
     payload = result.to_json_dict()
     payload["stderr"] = [float(s) for s in result.stderr]
     payload["n_samples"] = int(x.size)

@@ -15,23 +15,35 @@ from the uniform start on a (B, n_bins) batch of histograms at once.  Its
 log-likelihood is non-decreasing, and the kernel checks that on every row.
 Each row stops on its own relative log-likelihood change; a stopped row
 leaves the batch, so its result is the one a single-row run would give.
-``ml_diagonal`` runs it once on the data histogram stacked with its
-multinomial resamples; a resample occupies only bins the data occupies, so
-the data row's fit is the one-row fit bit for bit, and the replicate rows'
-spread is the result's ``stderr``.  The phases are not needed: the
-heralded states are Fock-diagonal, so the photon-number distribution is
-all there is to reconstruct.
+``ml_diagonal`` runs it on the one data histogram.  The phases are not
+needed: the heralded states are Fock-diagonal, so the photon-number
+distribution is all there is to reconstruct.
+
+The result's ``stderr`` is the observed information of the binned
+multinomial likelihood at the EM estimate, with no resampling and no RNG.
+Two heralds put at most two photons into any mode, so P_3 .. P_cutoff are
+truly 0, on the boundary of the simplex, and are held at their estimates:
+with D the POVM rows Pi_1 - Pi_0 and Pi_2 - Pi_0 and p = P . Pi,
+
+    J = D diag(hist / p**2) D^T,
+
+Var(P_1) and Var(P_2) are the diagonal of J^-1 and Var(P_0) = 1^T J^-1 1.
+Each P_n with n >= 3 frees P_1, P_2 and P_n in the 3 x 3 block of the same
+form.  A bootstrap of the histogram would be inconsistent at that boundary
+(Andrews, Econometrica 68, 399, 2000): its spread collapses where the
+estimate of P_2 sits near 0.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
+from .errors import CutoffExceeded, EmptyInput, InsufficientStatistics, InvalidDensity, OutOfRange
 from .homodyne import X_MAX, hermite_function
 
 # Gauss-Legendre order per bin; exact to machine precision for the smooth
@@ -93,7 +105,7 @@ def build_povm(cutoff: int, n_bins: int = 256) -> BinnedPOVM:
 
 @dataclass(frozen=True)
 class MLResult:
-    """Reconstruction output: probabilities, convergence metadata, bootstrap stderr."""
+    """Reconstruction output: probabilities, convergence metadata, stderr."""
 
     probs: np.ndarray
     log_likelihood: float
@@ -101,7 +113,7 @@ class MLResult:
     converged: bool
     cutoff: int
     ll_history: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
-    stderr: np.ndarray | None = field(repr=False, default=None)
+    stderr: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,8 +137,14 @@ def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.nd
         raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
     povm = build_povm(config.cutoff, config.n_bins)
     edges = povm.edges
-    idx = np.searchsorted(edges, np.clip(x, edges[0], edges[-1] - 1e-12), side="right") - 1
-    return np.bincount(idx, minlength=edges.size - 1).astype(float), povm.elements
+    x = np.clip(x, edges[0], edges[-1] - 1e-12)
+    # the largest k with edges[k] <= x, as searchsorted(side="right") - 1
+    # finds it: the uniform-grid guess is off by at most one either way
+    idx = np.floor((x - edges[0]) / (edges[1] - edges[0])).astype(np.intp)
+    np.clip(idx, 0, povm.n_bins - 1, out=idx)
+    idx -= edges[idx] > x
+    idx += edges[idx + 1] <= x
+    return np.bincount(idx, minlength=povm.n_bins).astype(float), povm.elements
 
 
 def _em(
@@ -209,9 +227,36 @@ def _em(
     return probs_out, ll_out, iters_out, converged_out, history_out
 
 
-def ml_diagonal(
-    samples: np.ndarray, config: MLConfig = MLConfig(), n_boot: int = 0, rng_seed: int = 0
-) -> MLResult:
+def _information_stderr(hist: np.ndarray, pi: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Standard errors of ``probs`` from the observed information of the
+    binned likelihood sum(hist * log(probs @ pi)) (module docstring).
+
+    Raises InsufficientStatistics when an information block is not
+    positive definite, e.g. for data in one or two bins.
+    """
+    occupied = hist > 0
+    pi_occ = pi[:, occupied]
+    d = pi_occ - pi_occ[0]  # row n: the direction of P_n, paid for by P_0
+    weighted = d * (hist[occupied] / np.square(probs @ pi_occ))
+    stderr = np.empty(pi.shape[0])
+    for free in [(1, 2)] + [(1, 2, n) for n in range(3, pi.shape[0])]:
+        block = weighted[list(free)] @ d[list(free)].T
+        eigenvalues = np.linalg.eigvalsh(block) if np.all(np.isfinite(block)) else [np.nan]
+        # a condition number beyond 1e12 is a singular block in floating point
+        if not eigenvalues[0] > 1e-12 * eigenvalues[-1]:
+            raise InsufficientStatistics(
+                f"the information of {', '.join(f'P{n}' for n in free)} is not positive definite: "
+                f"{int(hist.sum())} samples in {np.count_nonzero(occupied)} bins"
+            )
+        cov = np.linalg.inv(block)
+        if len(free) == 2:
+            stderr[:3] = np.sqrt([cov.sum(), cov[0, 0], cov[1, 1]])
+        else:
+            stderr[free[2]] = math.sqrt(cov[2, 2])
+    return stderr
+
+
+def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
     """EM estimate of the photon-number distribution from quadrature values.
 
     ``samples`` may be a 1-d array of x values or an (N, 2) array of
@@ -219,15 +264,10 @@ def ml_diagonal(
     are ignored.  Stops when the relative log-likelihood gain drops below
     ``config.tol``; the result carries a ``converged`` flag (no exception
     on hitting the iteration budget: the best iterate is returned).
-    Non-finite samples raise OutOfRange.
-
-    The result's ``stderr`` is the ddof=1 spread of ``n_boot`` multinomial
-    resamples of the histogram from ``default_rng(rng_seed)``, fitted in the
-    same EM batch; None for ``n_boot`` = 0, and 1 raises OutOfRange.  Warns
-    when a replicate stops unconverged; it still enters the spread.
+    Non-finite samples raise OutOfRange.  The result's ``stderr`` is the
+    observed-information error of each P_n (module docstring); data too
+    sparse to have one raise InsufficientStatistics.
     """
-    if n_boot < 0 or n_boot == 1:
-        raise OutOfRange(f"n_boot must be 0 or at least 2, got {n_boot}")
     hist, pi = _histogram(samples, config)
     n_samples = int(hist.sum())
     if n_samples < 1000:
@@ -235,16 +275,7 @@ def ml_diagonal(
             f"only {n_samples} samples; estimates below ~1e3 samples are noisy",
             stacklevel=2,
         )
-    rng = np.random.default_rng(rng_seed)
-    # one call draws the same stream as n_boot single draws
-    resampled = rng.multinomial(n_samples, hist / n_samples, size=n_boot)
-    probs, ll, iters, converged, history = _em(np.vstack([hist, resampled]), pi, config)
-    if not converged[1:].all():
-        warnings.warn(
-            f"{np.count_nonzero(~converged[1:])} of {n_boot} bootstrap replicates stopped "
-            f"unconverged at max_iters = {config.max_iters}",
-            stacklevel=2,
-        )
+    probs, ll, iters, converged, history = _em(hist[None, :], pi, config)
     return MLResult(
         probs=probs[0],
         log_likelihood=float(ll[0]),
@@ -252,5 +283,5 @@ def ml_diagonal(
         converged=bool(converged[0]),
         cutoff=config.cutoff,
         ll_history=history[0],
-        stderr=probs[1:].std(axis=0, ddof=1) if n_boot else None,
+        stderr=_information_stderr(hist, pi, probs[0]),
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
@@ -101,3 +102,32 @@ def test_produce_hashes_each_runs_stdout(tmp_path, monkeypatch):
         "a.stdout": sha("0.30000000000000004\n"),
         "b.stdout": sha("{}\n"),
     }
+
+
+def test_json_changes_per_key_path(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({
+        "bins": [{"n_pairs": 40, "stderr": [0.1, 0.2], "P2_pull": None},
+                 {"n_pairs": 50, "stderr": [0.1, 0.2], "P2_pull": 1.0}],
+        "config": {"eta": 0.76, "bootstrap_reps": 16},
+    }))
+    b.write_text(json.dumps({
+        "bins": [{"n_pairs": 40, "stderr": [0.1, 0.25], "P2_pull": 0.5},
+                 {"n_pairs": 50, "stderr": [0.125, 0.2], "P2_pull": 1.0}],
+        "config": {"eta": 0.76},
+    }))
+    assert check_identity.json_changes(a, b) == (
+        "4 of 10 values differ; largest change: bins[*].P2_pull null -> 0.5, "
+        "bins[*].stderr[*] 5.0e-02, config.bootstrap_reps only in base"
+    )
+
+
+def test_json_changes_reads_a_stdout_of_several_documents(tmp_path):
+    # reproduce_figures.py prints one indented summary per CLI call
+    a, b = tmp_path / "a.stdout", tmp_path / "b.stdout"
+    a.write_text(json.dumps({"n_points": 2}, indent=2) + "\n" + json.dumps({"rows": [1.5, 2]}, indent=2) + "\n")
+    b.write_text(json.dumps({"n_points": 2}, indent=2) + "\n" + json.dumps({"rows": [1.5, 3]}, indent=2) + "\n")
+    assert check_identity.json_changes(a, b) == (
+        "1 of 3 values differ; largest change: [*].rows[*] 1.0e+00"
+    )
+    assert check_identity.json_changes(a, a) == "0 of 3 values differ; largest change: none"

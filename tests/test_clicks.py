@@ -138,6 +138,28 @@ class TestThermalField:
         with pytest.raises(OutOfRange, match="field step"):
             next(thermal_field_chunks(GAMMA, dt_field, [4096, 4096], [1, 2], state))
 
+    @pytest.mark.parametrize(
+        "sizes, seeds, state",
+        [
+            ([], [], (0j, 0j, 0j)),
+            ([0], [1], (0j, 0j, 0j)),
+            ([1], [1], (0j, 0j, 0j)),
+            ([4096, 1], [1, 2], (0j, 0j, 0j)),
+            ([4096, 4096], [1], None),
+            ([4096, 4096], [1, 2, 3], (0j, 0j, 0j)),
+        ],
+        ids=["no_chunk", "empty_chunk", "one_sample_chunk", "one_sample_last_chunk",
+             "too_few_seeds", "too_many_seeds"],
+    )
+    def test_chunks_reject_bad_sizes_before_drawing(self, monkeypatch, sizes, seeds, state):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a thread or draw for invalid chunks")
+
+        for name in ("_innovations", "_stationary_start", "ThreadPoolExecutor"):
+            monkeypatch.setattr(f"heraldsim.clicks.{name}", no_work)
+        with pytest.raises(OutOfRange, match="one seed per chunk"):
+            next(thermal_field_chunks(GAMMA, DT_FIELD, sizes, seeds, state))
+
     @pytest.mark.parametrize("mu_dt", MU_DT, ids=["coarse_limit", "default"])
     def test_recursion_autocovariance_exact(self, mu_dt):
         # sigma**2 * sum_j psi_j psi_{j+k} against (1 + a k) phi**k

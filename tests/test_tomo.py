@@ -1,5 +1,5 @@
 """Maximum-likelihood photon-number tomography: binned POVM, EM fixed
-point, bootstrap errors.
+point, observed-information errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from heraldsim.analytic import apply_loss, fixed_mode_distribution
-from heraldsim.errors import CutoffExceeded, EmptyInput, InvalidDensity, OutOfRange
+from heraldsim.errors import (
+    CutoffExceeded,
+    EmptyInput,
+    InsufficientStatistics,
+    InvalidDensity,
+    OutOfRange,
+)
 from heraldsim.homodyne import X_MAX, sample_quadratures
 from heraldsim.modes import overlap_closed_form
 from heraldsim.tomo import (
@@ -165,8 +171,6 @@ class TestMlDiagonal:
         samples[17, 0] = bad
         with pytest.raises(OutOfRange, match="not finite"):
             ml_diagonal(samples)
-        with pytest.raises(OutOfRange, match="not finite"):
-            ml_diagonal(samples, MLConfig(), 16, 0)
 
     def test_json_keys(self):
         result = ml_diagonal(draws([1.0], 2_000, seed=210))
@@ -229,9 +233,9 @@ class TestEmKernel:
             _em(np.stack([np.full(64, 20.0), bad]), pi, config)
 
     def test_default_budget_reaches_the_stopping_rule(self):
-        # bootstrap replicate 14 of the default fixed-mode sweep at 30 ns
-        # (mode g1, seeds of config seed 5) needs 2,079 iterations; the old
-        # 2,000-iteration budget returned it unconverged
+        # a multinomial resample of the default fixed-mode sweep's histogram
+        # at 30 ns (mode g1, seeds of config seed 5) needs 2,079 iterations;
+        # the old 2,000-iteration budget returned it unconverged
         probs = apply_loss(fixed_mode_distribution(overlap_closed_form(30e-9, GAMMA)), ETA).probs
         hist, pi = _histogram(draws(probs, 100_000, seed=6777710724561418609), MLConfig())
         rng = np.random.default_rng(8108440146360779095)
@@ -242,59 +246,96 @@ class TestEmKernel:
         assert not converged[0]
 
 
+def finite_difference_stderr(hist, pi, probs, free, eps):
+    """sqrt of the diagonal of the inverse central finite-difference Hessian
+    of the log-likelihood sum(hist * log(P . Pi)) over the weights ``free``,
+    P_0 taking up each step, and of 1^T H^-1 1 for P_0."""
+    p = probs @ pi
+
+    def shifted(steps):
+        # the log-likelihood's change, as a sum of log1p terms so that the
+        # four corners do not cancel in the last bits
+        delta = np.zeros_like(probs)
+        delta[list(free)] = steps
+        delta[0] = -np.sum(steps)
+        return float(np.sum(hist * np.log1p((delta @ pi) / p)))
+
+    k = len(free)
+    hessian = np.empty((k, k))
+    for a in range(k):
+        for b in range(k):
+            corners = []
+            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                steps = np.zeros(k)
+                steps[a] += sa * eps
+                steps[b] += sb * eps
+                corners.append(shifted(steps))
+            hessian[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * eps * eps)
+    cov = np.linalg.inv(-hessian)
+    return np.sqrt(np.diag(cov)), math.sqrt(cov.sum())
+
+
 class TestBootstrapStderr:
+    """``ml_diagonal``'s stderr.  A bootstrap spread gave it before the
+    observed information of the binned likelihood did; the class keeps its
+    name so that these checks keep their ids."""
+
     def test_positive_and_deterministic(self):
         samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=214)
-        a = ml_diagonal(samples, MLConfig(), 16, 3).stderr
-        b = ml_diagonal(samples, MLConfig(), 16, 3).stderr
+        a = ml_diagonal(samples).stderr
+        b = ml_diagonal(samples).stderr
         np.testing.assert_array_equal(a, b)
         assert a.shape == (6,)
-        assert np.all(a[:3] > 0.0)
+        assert np.all(a > 0.0)
 
     def test_scales_with_sample_size(self):
-        small = ml_diagonal(draws(LOSSY_TWO_PHOTON, 4_000, seed=215), MLConfig(), 16, 4).stderr
-        large = ml_diagonal(draws(LOSSY_TWO_PHOTON, 40_000, seed=216), MLConfig(), 16, 4).stderr
+        small = ml_diagonal(draws(LOSSY_TWO_PHOTON, 4_000, seed=215)).stderr
+        large = ml_diagonal(draws(LOSSY_TWO_PHOTON, 40_000, seed=216)).stderr
         ratio = float(np.max(small[:3]) / np.max(large[:3]))
-        # expect ~ sqrt(10); bootstrap noise with 16 reps keeps this loose
-        assert 1.5 < ratio < 6.5
+        # expect ~ sqrt(10) = 3.16; over 200 other seed pairs of these sizes
+        # the ratio spans 3.05-3.24 (16 bootstrap replicates needed 1.5-6.5)
+        assert 3.0 < ratio < 3.3
 
     def test_covers_true_error(self):
         n = 20_000
         samples = draws(LOSSY_TWO_PHOTON, n, seed=217)
-        probs = ml_diagonal(samples).probs
-        se = ml_diagonal(samples, MLConfig(), 16, 5).stderr
-        pulls = np.abs(probs[:3] - LOSSY_TWO_PHOTON) / np.maximum(se[:3], 1e-12)
+        fit = ml_diagonal(samples)
+        pulls = np.abs(fit.probs[:3] - LOSSY_TWO_PHOTON) / fit.stderr[:3]
         assert float(np.max(pulls)) < 5.0
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            ml_diagonal(np.array([]), MLConfig(), 16, 0)
+            ml_diagonal(np.array([]))
 
-    def test_matches_single_draw_loop(self):
-        samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=214)
-        config = MLConfig()
-        hist, pi = _histogram(samples, config)
-        total = int(hist.sum())
-        rng = np.random.default_rng(3)
-        reps = [
-            reference_em(rng.multinomial(total, hist / total).astype(float), pi, config)[0]
-            for _ in range(16)
-        ]
-        expected = np.std(reps, axis=0, ddof=1)
-        np.testing.assert_array_equal(ml_diagonal(samples, config, 16, 3).stderr, expected)
+    @pytest.mark.parametrize("case", ["interior", "boundary"])
+    def test_matches_finite_difference_hessian(self, case):
+        # P_1, P_2 free (and P_n with them for n >= 3), the rest held; at the
+        # boundary the true P_2 is 0 and its estimate sits near it
+        probs = LOSSY_TWO_PHOTON if case == "interior" else np.array([0.24, 0.76, 0.0])
+        samples = draws(probs, 20_000, seed=221)
+        hist, pi = _histogram(samples, MLConfig())
+        fit = ml_diagonal(samples)
+        (se1, se2), se0 = finite_difference_stderr(hist, pi, fit.probs, (1, 2), eps=1e-6)
+        np.testing.assert_allclose(fit.stderr[:3], [se0, se1, se2], rtol=1e-6)
+        for n in range(3, 6):
+            (_, _, se_n), _ = finite_difference_stderr(hist, pi, fit.probs, (1, 2, n), eps=1e-6)
+            assert fit.stderr[n] == pytest.approx(se_n, rel=1e-6)
 
-    def test_unconverged_replicates_warn(self):
-        samples = draws(LOSSY_TWO_PHOTON, 2_000, seed=220)
-        with pytest.warns(UserWarning, match="4 of 4 bootstrap replicates stopped unconverged"):
-            ml_diagonal(samples, MLConfig(max_iters=5), 4, 0)
+    def test_does_not_collapse_at_the_boundary(self):
+        # no two-photon weight at all: the estimate of P_2 sits at or near
+        # 0, and its error stays that of the 1e5 counts, not of the estimate
+        fit = ml_diagonal(draws([0.24, 0.76, 0.0], 100_000, seed=222))
+        assert fit.probs[2] < 0.005
+        assert 1e-3 < fit.stderr[2] < 3e-3
+
+    @pytest.mark.parametrize("samples", [[0.3], [0.3] * 5000, [0.3, -1.2] * 2000],
+                             ids=["one_sample", "one_bin", "two_bins"])
+    def test_too_few_bins_raise(self, samples):
+        # the information has rank at most the number of occupied bins
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ml_diagonal(samples, MLConfig(), 4, 0)
-
-    @pytest.mark.parametrize("n_boot", [1])
-    def test_needs_two_replicates(self, n_boot):
-        with pytest.raises(OutOfRange, match="at least 2"):
-            ml_diagonal(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), MLConfig(), n_boot)
+            warnings.simplefilter("ignore")
+            with pytest.raises(InsufficientStatistics, match="not positive definite"):
+                ml_diagonal(np.array(samples))
 
 
 def with_far_tail(samples):
@@ -303,55 +344,62 @@ def with_far_tail(samples):
 
 
 class TestOneBatchFit:
-    """A fit with bootstrap is one histogram, one POVM and one ``_em`` batch
-    of the data row and its replicates."""
+    """A fit is one histogram, one POVM and one ``_em`` call on the one
+    data row."""
 
     CASES = {
-        # (samples, n_boot, rng_seed); at seed 19 the lone tail sample's bin
-        # is empty in all 4 resamples, so the data row occupies more bins
-        # than any replicate
-        "uniform": (lambda: draws(LOSSY_TWO_PHOTON, 20_000, seed=214), 16, 3),
-        "far_tail": (lambda: with_far_tail(draws(LOSSY_TWO_PHOTON, 20_000, seed=214)), 4, 19),
+        "uniform": lambda: draws(LOSSY_TWO_PHOTON, 20_000, seed=214),
+        # a lone tail sample in a bin of its own, where p is tiny
+        "far_tail": lambda: with_far_tail(draws(LOSSY_TWO_PHOTON, 20_000, seed=214)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_data_row_is_the_plain_fit(self, case):
-        make, n_boot, seed = self.CASES[case]
-        samples = make()
-        fit = ml_diagonal(samples, MLConfig(), n_boot, seed)
-        plain = ml_diagonal(samples, MLConfig())
-        assert plain.stderr is None
-        np.testing.assert_array_equal(fit.probs, plain.probs)
-        np.testing.assert_array_equal(fit.ll_history, plain.ll_history)
-        assert (fit.log_likelihood, fit.iterations, fit.converged, fit.cutoff) == (
-            plain.log_likelihood, plain.iterations, plain.converged, plain.cutoff
-        )
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_stderr_is_the_single_draw_loop(self, case):
-        make, n_boot, seed = self.CASES[case]
-        samples = make()
+        samples = self.CASES[case]()
         config = MLConfig()
         hist, pi = _histogram(samples, config)
-        total = int(hist.sum())
-        rng = np.random.default_rng(seed)
-        resampled = [rng.multinomial(total, hist / total).astype(float) for _ in range(n_boot)]
-        if case == "far_tail":
-            assert np.any((hist > 0) & ~np.any(resampled, axis=0))
-        expected = np.std([reference_em(r, pi, config)[0] for r in resampled], axis=0, ddof=1)
-        fit = ml_diagonal(samples, config, n_boot, seed)
-        np.testing.assert_array_equal(fit.stderr, expected)
-
-    @pytest.mark.parametrize("n_boot", [-1, 1])
-    def test_one_replicate_has_no_spread(self, n_boot):
-        with pytest.raises(OutOfRange, match="n_boot"):
-            ml_diagonal(draws(LOSSY_TWO_PHOTON, 2_000, seed=219), MLConfig(), n_boot)
+        ref_probs, ref_ll, ref_iters, ref_converged, ref_history = reference_em(hist, pi, config)
+        fit = ml_diagonal(samples, config)
+        np.testing.assert_array_equal(fit.probs, ref_probs)
+        np.testing.assert_array_equal(fit.ll_history, ref_history)
+        assert (fit.log_likelihood, fit.iterations, fit.converged, fit.cutoff) == (
+            ref_ll, ref_iters, ref_converged, config.cutoff
+        )
+        assert np.all(np.isfinite(fit.stderr)) and np.all(fit.stderr > 0.0)
 
     def test_warning_counts_replicates_only(self):
+        # a fit that stops at its budget says so in ``converged``; with no
+        # resampled replicates there is nothing to warn about
         samples = draws(LOSSY_TWO_PHOTON, 2_000, seed=220)
-        with pytest.warns(UserWarning, match="4 of 4 bootstrap replicates stopped unconverged"):
-            fit = ml_diagonal(samples, MLConfig(max_iters=5), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = ml_diagonal(samples, MLConfig(max_iters=5))
         assert not fit.converged and fit.iterations == 5
+
+
+class TestHistogram:
+    """``_histogram`` bins by arithmetic on the uniform edges and must put
+    every x where ``searchsorted(edges, x, side="right") - 1`` does."""
+
+    @pytest.mark.parametrize("n_bins", [64, 256, 1000])
+    def test_bit_equal_to_searchsorted(self, n_bins):
+        config = MLConfig(n_bins=n_bins)
+        edges = build_povm(config.cutoff, n_bins).edges
+        x = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            # both clip ends, and beyond them
+            [edges[-1] - 1e-12, np.nextafter(edges[-1] - 1e-12, -np.inf), -2 * X_MAX, 2 * X_MAX,
+             -1e300, 1e300],
+            np.random.default_rng(n_bins).uniform(-X_MAX, X_MAX, 10_000),
+        ])
+        clipped = np.clip(x, edges[0], edges[-1] - 1e-12)
+        expected = np.bincount(np.searchsorted(edges, clipped, side="right") - 1, minlength=n_bins)
+        hist, _ = _histogram(x, config)
+        np.testing.assert_array_equal(hist, expected)
+        # and sample by sample, each x alone
+        for value in x[: 3 * edges.size]:
+            (k,) = np.flatnonzero(_histogram(np.array([value]), config)[0])
+            assert k == np.searchsorted(edges, min(max(value, edges[0]), edges[-1] - 1e-12), side="right") - 1
 
 
 class TestMlConfig:
