@@ -108,7 +108,7 @@ def point_mode(config: ExperimentConfig, modes: list[str], seeds: list[int]) -> 
         scene = _build_scene(config, delta_ns * 1e-9)
         for mode in modes:
             rho = reduce_to_mode(scene.state, scene.modes[mode])
-            fits = [fit_point(config, rho, seeds[2 * k]) for seeds in layout]
+            fits = [fit_point(config, rho, derived[2 * k]) for derived in layout]
             probs = np.array([p for p, _ in fits])
             stderr = np.array([s for _, s in fits])
             truth = np.zeros(dim)
@@ -206,6 +206,8 @@ def main(argv: list[str] | None = None) -> int:
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.delays:
         config = dataclasses.replace(config, delays_ns=tuple(args.delays))
+    if "f2" in (args.mode or []) and 0.0 in config.delays_ns:
+        sys.exit("calibrate.py: f2 is not defined at zero delay, where the modes coincide")
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
     if args.kind == "point":
         report = point_mode(config, args.mode or ["f1", "g1"], seeds)

@@ -112,8 +112,8 @@ class MLResult:
     iterations: int
     converged: bool
     cutoff: int
+    stderr: np.ndarray = field(repr=False)
     ll_history: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
-    stderr: np.ndarray = field(repr=False, default_factory=lambda: np.array([]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,10 +237,10 @@ def _information_stderr(hist: np.ndarray, pi: np.ndarray, probs: np.ndarray) -> 
     occupied = hist > 0
     pi_occ = pi[:, occupied]
     d = pi_occ - pi_occ[0]  # row n: the direction of P_n, paid for by P_0
-    weighted = d * (hist[occupied] / np.square(probs @ pi_occ))
+    information = (d * (hist[occupied] / np.square(probs @ pi_occ))) @ d.T
     stderr = np.empty(pi.shape[0])
     for free in [(1, 2)] + [(1, 2, n) for n in range(3, pi.shape[0])]:
-        block = weighted[list(free)] @ d[list(free)].T
+        block = information[np.ix_(free, free)]
         eigenvalues = np.linalg.eigvalsh(block) if np.all(np.isfinite(block)) else [np.nan]
         # a condition number beyond 1e12 is a singular block in floating point
         if not eigenvalues[0] > 1e-12 * eigenvalues[-1]:
@@ -282,6 +282,6 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
         iterations=int(iters[0]),
         converged=bool(converged[0]),
         cutoff=config.cutoff,
-        ll_history=history[0],
         stderr=_information_stderr(hist, pi, probs[0]),
+        ll_history=history[0],
     )

@@ -57,6 +57,7 @@ def test_estimator_of_known_sd(scale):
 
 def test_point_mode_smoke():
     report = calibrate.point_mode(SMALL, ["f1"], [0, 1])
+    assert report["seeds"] == [0, 1]
     (point,) = report["points"]["f1"]
     assert point["delta_t_ns"] == 10.0 and len(point["weights"]) == SMALL.tomo_cutoff + 1
     p2 = point["weights"][2]

@@ -528,8 +528,7 @@ def test_scene_reductions_are_exactly_diagonal(delta_t_ns):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestEndToEnd:
     def test_report_shape(self, e2e_run, tmp_path):
-        # at seed 3 the 41-pair bin at 33 ns puts P2 on its boundary, where
-        # a bootstrap stderr once collapsed to 4e-7
+        # at seed 3 the 41-pair bin at 33 ns puts P2 on its boundary
         seed3 = end_to_end(dataclasses.replace(E2E_CFG, rng_seed=3), tmp_path)
         for report in (e2e_run[1], seed3):
             assert report["n_bins"] == 33  # ceil(65 / 2)

@@ -293,7 +293,7 @@ class TestBootstrapStderr:
         large = ml_diagonal(draws(LOSSY_TWO_PHOTON, 40_000, seed=216)).stderr
         ratio = float(np.max(small[:3]) / np.max(large[:3]))
         # expect ~ sqrt(10) = 3.16; over 200 other seed pairs of these sizes
-        # the ratio spans 3.05-3.24 (16 bootstrap replicates needed 1.5-6.5)
+        # the ratio spans 3.05-3.24
         assert 3.0 < ratio < 3.3
 
     def test_covers_true_error(self):
