@@ -237,10 +237,10 @@ def _information_stderr(hist: np.ndarray, pi: np.ndarray, probs: np.ndarray) -> 
     occupied = hist > 0
     pi_occ = pi[:, occupied]
     d = pi_occ - pi_occ[0]  # row n: the direction of P_n, paid for by P_0
-    information = (d * (hist[occupied] / np.square(probs @ pi_occ))) @ d.T
+    weighted = d * (hist[occupied] / np.square(probs @ pi_occ))
     stderr = np.empty(pi.shape[0])
     for free in [(1, 2)] + [(1, 2, n) for n in range(3, pi.shape[0])]:
-        block = information[np.ix_(free, free)]
+        block = weighted[list(free)] @ d[list(free)].T
         eigenvalues = np.linalg.eigvalsh(block) if np.all(np.isfinite(block)) else [np.nan]
         # a condition number beyond 1e12 is a singular block in floating point
         if not eigenvalues[0] > 1e-12 * eigenvalues[-1]:
