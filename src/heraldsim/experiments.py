@@ -22,15 +22,17 @@ reconstruct_samples tomography of an existing quadrature CSV
 The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
 delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
 at zero delay), each analysis mode and its lossy closed form.  A driver
-picks a mode by name, reduces the state to it, draws (x, theta) with
-``sample_quadratures`` and fits them; ``end_to_end`` does so per delay
-bin with f1, and both sweeps are ``_sweep`` with their own mode and
-photon numbers.
+picks a mode by name and makes one fit job per fit: the state reduced to
+that mode, a sample count and a sample seed.  ``end_to_end`` does so per
+delay bin with f1, and both sweeps are ``_sweep`` with their own mode and
+photon numbers.  ``_draw`` takes (x, theta) for each job from
+``sample_quadratures``, and one ``ml_diagonal_batch`` call fits every job
+of the run in one EM batch, keeping only each job's histogram.
 
-Each fit's stderr is ``ml_diagonal``'s observed-information error, so a
-fit draws no random numbers.  Every driver still derives a (sample, fit)
-seed pair per fit and leaves the fit seed unused: keeping that layout
-keeps every sample stream.
+A fit's stderr is the observed-information error, so a fit draws no
+random numbers.  Job k of a run still samples from seed 2k of 2 per job
+and leaves seed 2k + 1 unused: keeping that layout keeps every sample
+stream.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import json
 import math
 import platform
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -77,7 +80,7 @@ from .modes import (
     overlap,
     write_mode_csv,
 )
-from .tomo import MLConfig, ml_diagonal
+from .tomo import MLConfig, ml_diagonal, ml_diagonal_batch
 
 # The trigger field is made and thinned in chunks of at most this many
 # samples, split evenly, each continuing the last; it bounds memory, and
@@ -328,6 +331,13 @@ def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStrea
     return stream, n_chunks, seeds[-1]
 
 
+def _draw(jobs: list[tuple[np.ndarray, int, int]]) -> Iterator[np.ndarray]:
+    """The (x, theta) samples of each fit job (reduced state, count, sample
+    seed), drawn one job at a time as they are asked for."""
+    for rho, count, seed in jobs:
+        yield sample_quadratures(rho, count, seed)
+
+
 def _sweep(
     config: ExperimentConfig,
     out_dir: str | Path | None,
@@ -347,14 +357,16 @@ def _sweep(
     # point k samples from seed 2k; the odd seeds are unused, and keeping
     # the layout keeps every point's samples
     seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
-    table = []
+    jobs, analytic = [], []
     for k, delta_ns in enumerate(config.delays_ns):
         scene = _build_scene(config, delta_ns * 1e-9)
         rho = reduce_to_mode(scene.state, scene.modes[mode])
-        samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
-        result = ml_diagonal(samples, config.ml_config())
-        analytic = scene.analytic[mode]
-        per_n = [(analytic.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
+        jobs.append((rho, config.samples_per_point, seeds[2 * k]))
+        analytic.append(scene.analytic[mode])
+    results = ml_diagonal_batch(_draw(jobs), config.ml_config())
+    table = []
+    for delta_ns, closed, result in zip(config.delays_ns, analytic, results):
+        per_n = [(closed.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
         table.append([delta_ns, *(value for triple in per_n for value in triple)])
     header = ",".join(columns)
     np.savetxt(out / f"{name}.csv", table, fmt="%.12g", delimiter=",", header=header, comments="")
@@ -440,12 +452,12 @@ def run_fock_panels(
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
     # as in _sweep: mode k samples from seed 2k, and the odd seeds are unused
     seeds = _derive_seeds(config.rng_seed, 2 * len(scene.modes))
+    rhos = [reduce_to_mode(scene.state, mode) for mode in scene.modes.values()]
+    jobs = [(rho, config.samples_per_point, seeds[2 * k]) for k, rho in enumerate(rhos)]
+    results = ml_diagonal_batch(_draw(jobs), config.ml_config())
     outputs = []
     panels = {}
-    for k, (name, mode) in enumerate(scene.modes.items()):
-        rho = reduce_to_mode(scene.state, mode)
-        samples = sample_quadratures(rho, config.samples_per_point, seeds[2 * k])
-        result = ml_diagonal(samples, config.ml_config())
+    for (name, mode), rho, result in zip(scene.modes.items(), rhos, results):
         panel = {
             "mode": name,
             "delta_t_ns": delta_t_ns,
@@ -493,9 +505,10 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     which = np.clip(np.searchsorted(edges, delays, side="right") - 1, 0, n_bins - 1)
     # as in _sweep: bin b samples from seed 2b, and the odd seeds are unused
     bin_seeds = _derive_seeds(pair_seed ^ 0xE2E, 2 * n_bins)
-    sample_rows = []
     bins_report = []
-    n_reconstructed = 0
+    # per reconstructed bin: its fit job, and its pairs, report entry and
+    # closed form
+    jobs, fitted = [], []
     for b in range(n_bins):
         idx = np.flatnonzero(which == b)
         center_ns = (edges[b] + 0.5 * bin_width) * 1e9
@@ -504,6 +517,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             "n_pairs": int(idx.size),
             "skipped": False,
         }
+        bins_report.append(entry)
         if idx.size < config.min_pairs_per_bin:
             if idx.size:
                 warnings.warn(
@@ -512,25 +526,23 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
                     stacklevel=2,
                 )
             entry["skipped"] = True
-            bins_report.append(entry)
             continue
         scene = _build_scene(config, center_ns * 1e-9)
-        rho = reduce_to_mode(scene.state, scene.modes["f1"])
-        samples = sample_quadratures(rho, idx.size, bin_seeds[2 * b])
-        sample_rows.append(np.column_stack([samples, delays[idx] * 1e9]))
-        result = ml_diagonal(samples, config.ml_config())
-        analytic = scene.analytic["f1"]
-        entry["reconstruction"] = result.to_json_dict()
-        entry["stderr"] = [float(s) for s in result.stderr]
-        entry["analytic_probs"] = [float(p) for p in analytic.probs]
-        entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
-        bins_report.append(entry)
-        n_reconstructed += 1
-    if n_reconstructed == 0:
+        jobs.append((reduce_to_mode(scene.state, scene.modes["f1"]), idx.size, bin_seeds[2 * b]))
+        fitted.append((idx, entry, scene.analytic["f1"]))
+    if not jobs:
         raise InsufficientPairs(
             f"no delay bin reached {config.min_pairs_per_bin} pairs; "
             f"got {len(pairs)} pairs over {n_bins} bins"
         )
+    # the samples are kept for samples.csv, each beside its pair's delay
+    sample_rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(_draw(jobs), fitted)]
+    results = ml_diagonal_batch([rows[:, :2] for rows in sample_rows], config.ml_config())
+    for (_, entry, analytic), result in zip(fitted, results):
+        entry["reconstruction"] = result.to_json_dict()
+        entry["stderr"] = [float(s) for s in result.stderr]
+        entry["analytic_probs"] = [float(p) for p in analytic.probs]
+        entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
     np.savetxt(
         out / "samples.csv", np.concatenate(sample_rows), fmt="%.12g", delimiter=",",
         header="x,theta_rad,delta_t_ns", comments="",
@@ -539,7 +551,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         "n_clicks": int(len(stream)),
         "n_pairs": int(len(pairs)),
         "n_bins": n_bins,
-        "n_bins_reconstructed": n_reconstructed,
+        "n_bins_reconstructed": len(jobs),
         "duration_s": stream.duration,
         "bins": bins_report,
     }

@@ -15,9 +15,11 @@ from the uniform start on a (B, n_bins) batch of histograms at once.  Its
 log-likelihood is non-decreasing, and the kernel checks that on every row.
 Each row stops on its own relative log-likelihood change; a stopped row
 leaves the batch, so its result is the one a single-row run would give.
-``ml_diagonal`` runs it on the one data histogram.  The phases are not
-needed: the heralded states are Fock-diagonal, so the photon-number
-distribution is all there is to reconstruct.
+``ml_diagonal_batch`` bins every sample set of a driver run against one
+POVM and fits all their histograms in one such batch; ``ml_diagonal`` is
+its case of one set.  The phases are not needed: the heralded states are
+Fock-diagonal, so the photon-number distribution is all there is to
+reconstruct.
 
 The result's ``stderr`` is the observed information of the binned
 multinomial likelihood at the EM estimate, with no resampling and no RNG.
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,9 +128,9 @@ class MLResult:
         }
 
 
-def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Bin the x column of ``samples`` (1-d x or (N, 2) rows of (x, theta));
-    returns the histogram and the POVM elements of its binning."""
+def _histogram(samples: np.ndarray, povm: BinnedPOVM) -> np.ndarray:
+    """Bin the x column of ``samples`` (1-d x or (N, 2) rows of (x, theta))
+    on the binning of ``povm``."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 2:
         x = x[:, 0]
@@ -135,7 +138,6 @@ def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.nd
         raise EmptyInput("no quadrature samples")
     if not np.all(np.isfinite(x)):
         raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
-    povm = build_povm(config.cutoff, config.n_bins)
     edges = povm.edges
     x = np.clip(x, edges[0], edges[-1] - 1e-12)
     # the largest k with edges[k] <= x, as searchsorted(side="right") - 1
@@ -144,7 +146,7 @@ def _histogram(samples: np.ndarray, config: MLConfig) -> tuple[np.ndarray, np.nd
     np.clip(idx, 0, povm.n_bins - 1, out=idx)
     idx -= edges[idx] > x
     idx += edges[idx + 1] <= x
-    return np.bincount(idx, minlength=povm.n_bins).astype(float), povm.elements
+    return np.bincount(idx, minlength=povm.n_bins).astype(float)
 
 
 def _em(
@@ -157,9 +159,9 @@ def _em(
     stopped row leaves the batch; the arrays are compacted only on the
     iterations where some row stops.  The batch is kept as a stack of
     single rows, so each row gets the BLAS calls a loop over that row alone
-    makes, and the same probabilities bit for bit.  Only the log-likelihood
-    of a row with fewer occupied bins than the batch may differ in the last
-    bits, as it sums over the batch's occupied bins.
+    makes, and the same probabilities bit for bit.  The log-likelihoods of
+    the stopping rule sum over the batch's occupied bins; a row's final one
+    sums over its own, as a run on that row alone does.
 
     Returns per row: probabilities (B, cutoff+1), final log-likelihood,
     iterations, converged flags, and the log-likelihood history (one value
@@ -183,13 +185,15 @@ def _em(
     probs = np.full((n_rows, 1, dim), 1.0 / dim)
     trails = [array("d") for _ in range(n_rows)]
 
-    def log_likelihood(p: np.ndarray, h_occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def log_likelihood(
+        p: np.ndarray, h_bins: np.ndarray, bins: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         p_bin = np.matmul(p, pi)
         np.maximum(p_bin, 1e-300, out=p_bin)
-        return np.vecdot(h_occupied, np.log(p_bin.take(occupied, axis=2)))[:, 0], p_bin
+        return np.vecdot(h_bins, np.log(p_bin.take(bins, axis=2)))[:, 0], p_bin
 
     for it in range(1, max_iters + 1):
-        ll, p_bin = log_likelihood(probs, h_occ)
+        ll, p_bin = log_likelihood(probs, h_occ, occupied)
         probs = probs * np.matmul(h / p_bin, pi_t) / total
         np.maximum(probs, 0.0, out=probs)
         probs /= np.add.reduce(probs, axis=2, keepdims=True)
@@ -212,12 +216,13 @@ def _em(
         leave[stop] = True
         converged_out[rows[stop]] = True
         done = rows[leave]
-        final_ll, _ = log_likelihood(probs[leave], h_occ[leave])
-        for k, r, value in zip(np.flatnonzero(leave), done, final_ll.tolist()):
+        for k, r in zip(np.flatnonzero(leave).tolist(), done.tolist()):
+            own = np.flatnonzero(hist[r])
+            (value,), _ = log_likelihood(probs[k : k + 1], h[k : k + 1].take(own, axis=2), own)
             trails[k].append(value)
             history_out[r] = np.array(trails[k])
+            ll_out[r] = value
         probs_out[done] = probs[leave, 0]
-        ll_out[done] = final_ll
         iters_out[done] = it
         keep = ~leave
         if not keep.any():
@@ -264,24 +269,47 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
     are ignored.  Stops when the relative log-likelihood gain drops below
     ``config.tol``; the result carries a ``converged`` flag (no exception
     on hitting the iteration budget: the best iterate is returned).
-    Non-finite samples raise OutOfRange.  The result's ``stderr`` is the
-    observed-information error of each P_n (module docstring); data too
-    sparse to have one raise InsufficientStatistics.
+    Fewer than 1,000 samples warn; none raise EmptyInput and non-finite
+    ones OutOfRange.  The result's ``stderr`` is the observed-information
+    error of each P_n (module docstring); data too sparse to have one
+    raise InsufficientStatistics.  The one-set case of ``ml_diagonal_batch``.
     """
-    hist, pi = _histogram(samples, config)
-    n_samples = int(hist.sum())
-    if n_samples < 1000:
-        warnings.warn(
-            f"only {n_samples} samples; estimates below ~1e3 samples are noisy",
-            stacklevel=2,
+    (result,) = ml_diagonal_batch([samples], config)
+    return result
+
+
+def ml_diagonal_batch(sample_sets: Iterable[np.ndarray], config: MLConfig = MLConfig()) -> list[MLResult]:
+    """``ml_diagonal`` of each sample set, in order, from one ``_em`` batch.
+
+    Every set is checked, warned about and histogrammed against one POVM as
+    it is taken from ``sample_sets``, so an iterator that draws the sets one
+    at a time keeps only their histograms.  Each result is, bit for bit,
+    the one a fit of its set alone gives.
+    """
+    povm = build_povm(config.cutoff, config.n_bins)
+    rows = []
+    for samples in sample_sets:
+        hist = _histogram(samples, povm)
+        n_samples = int(hist.sum())
+        if n_samples < 1000:
+            warnings.warn(
+                f"only {n_samples} samples; estimates below ~1e3 samples are noisy",
+                stacklevel=2,
+            )
+        rows.append(hist)
+    if not rows:
+        return []
+    hists, pi = np.stack(rows), povm.elements
+    probs, ll, iters, converged, history = _em(hists, pi, config)
+    return [
+        MLResult(
+            probs=probs[k],
+            log_likelihood=float(ll[k]),
+            iterations=int(iters[k]),
+            converged=bool(converged[k]),
+            cutoff=config.cutoff,
+            stderr=_information_stderr(hist, pi, probs[k]),
+            ll_history=history[k],
         )
-    probs, ll, iters, converged, history = _em(hist[None, :], pi, config)
-    return MLResult(
-        probs=probs[0],
-        log_likelihood=float(ll[0]),
-        iterations=int(iters[0]),
-        converged=bool(converged[0]),
-        cutoff=config.cutoff,
-        stderr=_information_stderr(hist, pi, probs[0]),
-        ll_history=history[0],
-    )
+        for k, hist in enumerate(rows)
+    ]

@@ -232,8 +232,9 @@ class TestDelaySweep:
         assert "delay_sweep.csv" in manifest["outputs"]
         assert set(manifest["versions"]) == {"heraldsim", "numpy", "python"}
 
-    def test_one_histogram_and_em_batch_per_point(self, tmp_path, monkeypatch):
-        # each point bins once, builds one POVM and fits its one data row
+    def test_one_povm_and_em_batch_per_run(self, tmp_path, monkeypatch):
+        # the run builds one POVM and fits every point's one data row in
+        # one EM batch
         em_rows, povms = [], []
         em, build_povm = tomo._em, tomo.build_povm
 
@@ -248,8 +249,8 @@ class TestDelaySweep:
         monkeypatch.setattr(tomo, "_em", counted_em)
         monkeypatch.setattr(tomo, "build_povm", counted_povm)
         run_delay_sweep(TINY, tmp_path)
-        assert em_rows == [1] * len(TINY.delays_ns)
-        assert len(povms) == len(TINY.delays_ns)
+        assert em_rows == [len(TINY.delays_ns)]
+        assert len(povms) == 1
 
 
 def test_import_leaves_scipy_unloaded():

@@ -24,12 +24,15 @@ from heraldsim.errors import (
 )
 from heraldsim.fock import ModeRegister, apply_loss_channel, build_heralded_state, reduce_to_mode_pair
 from heraldsim.homodyne import (
+    GRID_1D,
     MAX_FOCK,
     X_MAX,
+    _inverse_cdf,
     fock_quadrature_pdf,
     hermite_function,
     joint_sample_two_modes,
     mixture_pdf,
+    photon_distribution,
     project_trace,
     sample_quadratures,
     synthesize_trace_batch,
@@ -177,6 +180,52 @@ class TestSampleQuadratures:
             sample_quadratures(rho, 0, rng_seed=1)
         with pytest.raises(InvalidDensity):
             sample_quadratures(np.diag([0.7, 0.7]).astype(complex), 10, rng_seed=1)
+
+
+def tabulated_cdf(rho):
+    """The sampler's nodes and normalized trapezoid-rule CDF for ``rho``."""
+    xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
+    pdf = mixture_pdf(photon_distribution(rho), xs)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])
+    return xs, cdf / cdf[-1]
+
+
+class TestSortedLookup:
+    """``sample_quadratures`` looks its uniforms up in ascending order and
+    must give the draws of a plain ``np.interp`` in draw order, bit for bit."""
+
+    # vacuum has the widest flat tails (2,590 repeated CDF nodes), the
+    # lossy two-photon state about as many as a default sweep point
+    STATES = {
+        "vacuum": [1.0],
+        "lossy_two_photon": [0.0576, 0.3648, 0.5776],
+        "five_photons": [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    }
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    # 500 queries are fewer than the nodes, where np.interp finds each slope
+    # as it goes rather than tabulating them all first
+    @pytest.mark.parametrize("count", [1, 500, 100_000])
+    def test_sampler_is_the_unsorted_lookup(self, state, count):
+        rho = np.diag(self.STATES[state]).astype(complex)
+        xs, cdf = tabulated_cdf(rho)
+        assert np.count_nonzero(np.diff(cdf) == 0.0) > 1000
+        rng = np.random.default_rng(31)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        x = np.interp(rng.uniform(0.0, 1.0, size=count), cdf, xs)
+        samples = sample_quadratures(rho, count, rng_seed=31)
+        np.testing.assert_array_equal(samples, np.column_stack([x, theta]))
+
+    @pytest.mark.parametrize("count", [1, 500, 100_000])
+    def test_repeated_nodes_and_ends(self, count):
+        # queries on the CDF's own values, its flat runs included, at both
+        # ends and beyond them, in random order and with repeats
+        xs, cdf = tabulated_cdf(np.diag(self.STATES["lossy_two_photon"]).astype(complex))
+        rng = np.random.default_rng(count)
+        pool = np.concatenate([cdf, np.nextafter(cdf, 2.0), [0.0, 1.0, -0.5, 1.5], rng.uniform(size=count)])
+        u = rng.choice(pool, size=count)
+        expected = np.interp(u, cdf, xs)
+        np.testing.assert_array_equal(_inverse_cdf(u.copy(), cdf, xs), expected)
 
 
 class TestJointSampling:

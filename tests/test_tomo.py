@@ -26,6 +26,7 @@ from heraldsim.tomo import (
     _histogram,
     build_povm,
     ml_diagonal,
+    ml_diagonal_batch,
 )
 
 from conftest import ETA, GAMMA
@@ -36,6 +37,12 @@ LOSSY_TWO_PHOTON = np.array([0.0576, 0.3648, 0.5776])
 def draws(probs, count, seed):
     rho = np.diag(np.asarray(probs, dtype=float)).astype(complex)
     return sample_quadratures(rho, count, rng_seed=seed)
+
+
+def binned(samples, config):
+    """The histogram of ``samples`` and the POVM elements of its binning."""
+    povm = build_povm(config.cutoff, config.n_bins)
+    return _histogram(samples, povm), povm.elements
 
 
 def reference_em(hist, pi, config):
@@ -189,7 +196,7 @@ class TestEmKernel:
             ([0.0, 1.0], 5_000, 224),
             ([0.3, 0.3, 0.4], 50_000, 225),
         ]
-        rows = [_histogram(draws(p, n, seed), config) for p, n, seed in sets]
+        rows = [binned(draws(p, n, seed), config) for p, n, seed in sets]
         return np.stack([hist for hist, _ in rows]), rows[0][1]
 
     def test_batch_matches_per_row_loop(self):
@@ -204,17 +211,17 @@ class TestEmKernel:
                 hist[b], pi, config
             )
             assert iters[b] == ref_iters and converged[b] == ref_converged
-            # same products per row; only the log-likelihood sums over the
-            # batch's occupied bins
+            # same products per row; only the stopping rule's log-likelihood
+            # sums over the batch's occupied bins, the final one over the row's
             np.testing.assert_array_equal(probs[b], ref_probs)
-            assert ll[b] == pytest.approx(ref_ll, rel=1e-12)
+            assert ll[b] == ref_ll
             assert history[b].shape == (ref_iters + 1,)
             np.testing.assert_allclose(history[b], ref_history, rtol=1e-12)
             assert history[b][-1] == ll[b]
 
     def test_single_row_is_the_loop_bit_for_bit(self):
         samples = draws(LOSSY_TWO_PHOTON, 20_000, seed=226)
-        hist, pi = _histogram(samples, MLConfig())
+        hist, pi = binned(samples, MLConfig())
         ref_probs, ref_ll, ref_iters, ref_converged, ref_history = reference_em(hist, pi, MLConfig())
         result = ml_diagonal(samples)
         np.testing.assert_array_equal(result.probs, ref_probs)
@@ -237,7 +244,7 @@ class TestEmKernel:
         # at 30 ns (mode g1, seeds of config seed 5) needs 2,079 iterations;
         # the old 2,000-iteration budget returned it unconverged
         probs = apply_loss(fixed_mode_distribution(overlap_closed_form(30e-9, GAMMA)), ETA).probs
-        hist, pi = _histogram(draws(probs, 100_000, seed=6777710724561418609), MLConfig())
+        hist, pi = binned(draws(probs, 100_000, seed=6777710724561418609), MLConfig())
         rng = np.random.default_rng(8108440146360779095)
         replicate = rng.multinomial(100_000, hist / 100_000, size=16)[14].astype(float)
         _, _, iters, converged, _ = _em(replicate[None, :], pi, MLConfig())
@@ -313,7 +320,7 @@ class TestBootstrapStderr:
         # boundary the true P_2 is 0 and its estimate sits near it
         probs = LOSSY_TWO_PHOTON if case == "interior" else np.array([0.24, 0.76, 0.0])
         samples = draws(probs, 20_000, seed=221)
-        hist, pi = _histogram(samples, MLConfig())
+        hist, pi = binned(samples, MLConfig())
         fit = ml_diagonal(samples)
         (se1, se2), se0 = finite_difference_stderr(hist, pi, fit.probs, (1, 2), eps=1e-6)
         np.testing.assert_allclose(fit.stderr[:3], [se0, se1, se2], rtol=1e-6)
@@ -357,7 +364,7 @@ class TestOneBatchFit:
     def test_data_row_is_the_plain_fit(self, case):
         samples = self.CASES[case]()
         config = MLConfig()
-        hist, pi = _histogram(samples, config)
+        hist, pi = binned(samples, config)
         ref_probs, ref_ll, ref_iters, ref_converged, ref_history = reference_em(hist, pi, config)
         fit = ml_diagonal(samples, config)
         np.testing.assert_array_equal(fit.probs, ref_probs)
@@ -377,14 +384,72 @@ class TestOneBatchFit:
         assert not fit.converged and fit.iterations == 5
 
 
+class TestDiagonalBatch:
+    """``ml_diagonal_batch`` fits many sample sets in one ``_em`` batch, and
+    each result is ``ml_diagonal`` of its set alone."""
+
+    # vacuum occupies fewer bins than the mixtures; at a 400-iteration
+    # budget the sets stop at different iterations and one never converges
+    SETS = [
+        (LOSSY_TWO_PHOTON, 2_000, 231),
+        ([1.0], 5_000, 232),
+        ([0.0, 1.0], 5_000, 233),
+        ([0.3, 0.3, 0.4], 50_000, 234),
+        (LOSSY_TWO_PHOTON, 20_000, 235),
+    ]
+
+    def test_each_result_is_its_own_fit(self):
+        config = MLConfig(max_iters=400, tol=1e-9)
+        sets = [draws(p, n, seed) for p, n, seed in self.SETS]
+        occupied = {int(np.count_nonzero(binned(x, config)[0])) for x in sets}
+        assert len(occupied) > 1
+        results = ml_diagonal_batch((x for x in sets), config)
+        assert len(results) == len(sets)
+        assert len({r.iterations for r in results}) > 2
+        assert any(r.converged for r in results)
+        assert any(not r.converged and r.iterations == config.max_iters for r in results)
+        for x, batched in zip(sets, results):
+            alone = ml_diagonal(x, config)
+            np.testing.assert_array_equal(batched.probs, alone.probs)
+            np.testing.assert_array_equal(batched.stderr, alone.stderr)
+            assert (batched.iterations, batched.converged, batched.cutoff) == (
+                alone.iterations, alone.converged, alone.cutoff
+            )
+            assert batched.log_likelihood == alone.log_likelihood
+            assert batched.ll_history[-1] == batched.log_likelihood
+
+    def test_no_sets(self):
+        assert ml_diagonal_batch([], MLConfig()) == []
+
+    def test_a_thin_set_warns(self):
+        sets = [draws(LOSSY_TWO_PHOTON, 5_000, seed=236), draws(LOSSY_TWO_PHOTON, 500, seed=237)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results = ml_diagonal_batch(sets, MLConfig())
+        assert [str(w.message) for w in caught] == [
+            "only 500 samples; estimates below ~1e3 samples are noisy"
+        ]
+        assert len(results) == 2
+
+    def test_a_set_in_two_bins_raises(self):
+        sets = [draws(LOSSY_TWO_PHOTON, 5_000, seed=238), np.array([0.3, -1.2] * 2000)]
+        with pytest.raises(InsufficientStatistics, match="4000 samples in 2 bins"):
+            ml_diagonal_batch(sets, MLConfig())
+
+    @pytest.mark.parametrize("bad, error", [(np.array([]), EmptyInput), (np.array([np.nan]), OutOfRange)])
+    def test_a_bad_set_raises(self, bad, error):
+        with pytest.raises(error):
+            ml_diagonal_batch([draws(LOSSY_TWO_PHOTON, 5_000, seed=239), bad], MLConfig())
+
+
 class TestHistogram:
     """``_histogram`` bins by arithmetic on the uniform edges and must put
     every x where ``searchsorted(edges, x, side="right") - 1`` does."""
 
     @pytest.mark.parametrize("n_bins", [64, 256, 1000])
     def test_bit_equal_to_searchsorted(self, n_bins):
-        config = MLConfig(n_bins=n_bins)
-        edges = build_povm(config.cutoff, n_bins).edges
+        povm = build_povm(MLConfig().cutoff, n_bins)
+        edges = povm.edges
         x = np.concatenate([
             edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
             # both clip ends, and beyond them
@@ -394,11 +459,11 @@ class TestHistogram:
         ])
         clipped = np.clip(x, edges[0], edges[-1] - 1e-12)
         expected = np.bincount(np.searchsorted(edges, clipped, side="right") - 1, minlength=n_bins)
-        hist, _ = _histogram(x, config)
+        hist = _histogram(x, povm)
         np.testing.assert_array_equal(hist, expected)
         # and sample by sample, each x alone
         for value in x[: 3 * edges.size]:
-            (k,) = np.flatnonzero(_histogram(np.array([value]), config)[0])
+            (k,) = np.flatnonzero(_histogram(np.array([value]), povm))
             assert k == np.searchsorted(edges, min(max(value, edges[0]), edges[-1] - 1e-12), side="right") - 1
 
 
