@@ -5,8 +5,9 @@ Point mode reruns one sweep's fits at M config seeds and asks whether
 each stderr describes the spread of its estimate.  For a config, an
 analysis mode and a list of delays, config seed s gives each delay k the
 sample seed that ``experiments._sweep`` gives it (seed 2k of
-``_derive_seeds(s, 2 * len(delays))``), and the fit runs the drivers' own
-reduce -> ``sample_quadratures`` -> ``ml_diagonal`` path.
+``_derive_seeds(s, 2 * len(delays))``), and the fits run the drivers' own
+reduce -> ``_draw`` -> ``ml_diagonal_batch`` path, every seed of a point
+in one EM batch.
 Per (delay, n) it reports the closed form, the mean estimate, the
 empirical sd, the mean stderr, the sd of the pulls (estimate - closed
 form) / stderr, the fraction of |pull| beyond 1, 2 and 3 and the largest
@@ -46,12 +47,12 @@ from heraldsim.experiments import (
     ExperimentConfig,
     _build_scene,
     _derive_seeds,
+    _draw,
     load_config,
     run_fixed_mode_sweep,
 )
 from heraldsim.fock import reduce_to_mode
-from heraldsim.homodyne import sample_quadratures
-from heraldsim.tomo import ml_diagonal
+from heraldsim.tomo import ml_diagonal_batch
 
 # a true weight at or above this is an interior point; below, the
 # estimate sits near the P_n >= 0 boundary
@@ -89,11 +90,12 @@ def pooled_stats(pulls: np.ndarray) -> dict:
     }
 
 
-def fit_point(config: ExperimentConfig, rho: np.ndarray, sample_seed: int):
-    """One fit as a sweep makes it: probabilities and stderr."""
-    samples = sample_quadratures(rho, config.samples_per_point, sample_seed)
-    result = ml_diagonal(samples, config.ml_config())
-    return result.probs, result.stderr
+def fit_point(config: ExperimentConfig, rho: np.ndarray, sample_seeds: list[int]):
+    """The fits a sweep makes of one point, one per sample seed, in one EM
+    batch: probabilities and stderr, one row per seed."""
+    jobs = [(rho, config.samples_per_point, seed) for seed in sample_seeds]
+    results = ml_diagonal_batch(_draw(jobs), config.ml_config())
+    return np.array([r.probs for r in results]), np.array([r.stderr for r in results])
 
 
 def point_mode(config: ExperimentConfig, modes: list[str], seeds: list[int]) -> dict:
@@ -108,9 +110,7 @@ def point_mode(config: ExperimentConfig, modes: list[str], seeds: list[int]) -> 
         scene = _build_scene(config, delta_ns * 1e-9)
         for mode in modes:
             rho = reduce_to_mode(scene.state, scene.modes[mode])
-            fits = [fit_point(config, rho, derived[2 * k]) for derived in layout]
-            probs = np.array([p for p, _ in fits])
-            stderr = np.array([s for _, s in fits])
+            probs, stderr = fit_point(config, rho, [derived[2 * k] for derived in layout])
             truth = np.zeros(dim)
             analytic = scene.analytic[mode].probs
             truth[: analytic.size] = analytic

@@ -30,9 +30,9 @@ photon numbers.  ``_draw`` takes (x, theta) for each job from
 of the run in one EM batch, keeping only each job's histogram.
 
 A fit's stderr is the observed-information error, so a fit draws no
-random numbers.  Job k of a run still samples from seed 2k of 2 per job
-and leaves seed 2k + 1 unused: keeping that layout keeps every sample
-stream.
+random numbers.  A driver still derives two seeds per job and samples job
+k from seed 2k, leaving seed 2k + 1 unused: keeping that layout keeps
+every sample stream.
 """
 
 from __future__ import annotations

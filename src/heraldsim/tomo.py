@@ -278,13 +278,18 @@ def ml_diagonal(samples: np.ndarray, config: MLConfig = MLConfig()) -> MLResult:
     return result
 
 
-def ml_diagonal_batch(sample_sets: Iterable[np.ndarray], config: MLConfig = MLConfig()) -> list[MLResult]:
+def ml_diagonal_batch(
+    sample_sets: Iterable[np.ndarray], config: MLConfig = MLConfig()
+) -> list[MLResult]:
     """``ml_diagonal`` of each sample set, in order, from one ``_em`` batch.
 
     Every set is checked, warned about and histogrammed against one POVM as
     it is taken from ``sample_sets``, so an iterator that draws the sets one
-    at a time keeps only their histograms.  Each result is, bit for bit,
-    the one a fit of its set alone gives.
+    at a time keeps only their histograms.  Each result has the
+    probabilities, stderr and final log-likelihood of a fit of its set
+    alone, bit for bit.  Only the stopping rule's log-likelihoods, and so
+    ``ll_history``, sum over the batch's occupied bins, which can move
+    their last bits.
     """
     povm = build_povm(config.cutoff, config.n_bins)
     rows = []
