@@ -3,11 +3,9 @@
 
 Point mode reruns one sweep's fits at M config seeds and asks whether
 each stderr describes the spread of its estimate.  For a config, an
-analysis mode and a list of delays, config seed s gives each delay k the
-sample seed that ``experiments._sweep`` gives it (seed 2k of
-``_derive_seeds(s, 2 * len(delays))``), and the fits run the drivers' own
-reduce -> ``_draw`` -> ``ml_diagonal_batch`` path, every seed of a point
-in one EM batch.
+analysis mode and a list of delays, ``experiments._sweep_fits`` makes the
+fits that ``_sweep`` makes at each config seed, every seed and delay of
+the mode in one EM batch.
 Per (delay, n) it reports the closed form, the mean estimate, the
 empirical sd, the mean stderr, the sd of the pulls (estimate - closed
 form) / stderr, the fraction of |pull| beyond 1, 2 and 3 and the largest
@@ -43,16 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from heraldsim.experiments import (
-    ExperimentConfig,
-    _build_scene,
-    _derive_seeds,
-    _draw,
-    load_config,
-    run_fixed_mode_sweep,
-)
-from heraldsim.fock import reduce_to_mode
-from heraldsim.tomo import ml_diagonal_batch
+from heraldsim.experiments import ExperimentConfig, _sweep_fits, load_config, run_fixed_mode_sweep
 
 # a true weight at or above this is an interior point; below, the
 # estimate sits near the P_n >= 0 boundary
@@ -90,38 +79,27 @@ def pooled_stats(pulls: np.ndarray) -> dict:
     }
 
 
-def fit_point(config: ExperimentConfig, rho: np.ndarray, sample_seeds: list[int]):
-    """The fits a sweep makes of one point, one per sample seed, in one EM
-    batch: probabilities and stderr, one row per seed."""
-    jobs = [(rho, config.samples_per_point, seed) for seed in sample_seeds]
-    results = ml_diagonal_batch(_draw(jobs), config.ml_config())
-    return np.array([r.probs for r in results]), np.array([r.stderr for r in results])
-
-
 def point_mode(config: ExperimentConfig, modes: list[str], seeds: list[int]) -> dict:
     """Per (mode, delay, n) statistics over ``seeds`` and the pooled pulls
     per (mode, n), interior and boundary."""
-    delays = config.delays_ns
-    layout = [_derive_seeds(seed, 2 * len(delays)) for seed in seeds]
     dim = config.tomo_cutoff + 1
     points: dict[str, list[dict]] = {mode: [] for mode in modes}
-    pooled: dict[str, dict[str, list[np.ndarray]]] = {}
-    for k, delta_ns in enumerate(delays):
-        scene = _build_scene(config, delta_ns * 1e-9)
-        for mode in modes:
-            rho = reduce_to_mode(scene.state, scene.modes[mode])
-            probs, stderr = fit_point(config, rho, [derived[2 * k] for derived in layout])
+    pooled: dict[str, dict[str, list[np.ndarray]]] = {mode: {} for mode in modes}
+    for mode in modes:
+        analytic, fits = _sweep_fits(config, mode, seeds)
+        for k, delta_ns in enumerate(config.delays_ns):
+            probs = np.array([per_seed[k].probs for per_seed in fits])
+            stderr = np.array([per_seed[k].stderr for per_seed in fits])
             truth = np.zeros(dim)
-            analytic = scene.analytic[mode].probs
-            truth[: analytic.size] = analytic
+            truth[: analytic[k].probs.size] = analytic[k].probs
             per_n = []
             for n in range(dim):
                 per_n.append({"n": n, **pull_stats(probs[:, n], stderr[:, n], truth[n])})
                 side = "interior" if truth[n] >= INTERIOR else "boundary"
                 pulls = pulls_of(probs[:, n], stderr[:, n], truth[n])
-                pooled.setdefault(mode, {}).setdefault(f"P{n} {side}", []).append(pulls)
+                pooled[mode].setdefault(f"P{n} {side}", []).append(pulls)
             points[mode].append({"delta_t_ns": delta_ns, "weights": per_n})
-        print(f"== {delta_ns:g} ns done", file=sys.stderr, flush=True)
+        print(f"== mode {mode} done", file=sys.stderr, flush=True)
     summary = {
         mode: {key: pooled_stats(np.concatenate(parts)) for key, parts in sorted(groups.items())}
         for mode, groups in pooled.items()

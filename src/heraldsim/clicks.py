@@ -215,8 +215,6 @@ def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev
     """
     _, theta, sigma = _field_recursion(mu_dt)
     n = out.size
-    if n == 0:
-        return e_prev
     rng.standard_normal(out=out.view(np.float64))
     out *= math.sqrt(0.5)
     e_last = complex(out[-1])

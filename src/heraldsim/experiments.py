@@ -25,14 +25,11 @@ at zero delay), each analysis mode and its lossy closed form.  A driver
 picks a mode by name and makes one fit job per fit: the state reduced to
 that mode, a sample count and a sample seed.  ``end_to_end`` does so per
 delay bin with f1, and both sweeps are ``_sweep`` with their own mode and
-photon numbers.  ``_draw`` takes (x, theta) for each job from
-``sample_quadratures``, and one ``ml_diagonal_batch`` call fits every job
-of the run in one EM batch, keeping only each job's histogram.
-
-A fit's stderr is the observed-information error, so a fit draws no
-random numbers.  A driver still derives two seeds per job and samples job
-k from seed 2k, leaving seed 2k + 1 unused: keeping that layout keeps
-every sample stream.
+photon numbers, whose fits ``_sweep_fits`` makes at any list of config
+seeds.  Job k samples from seed k of ``_sample_seeds``: its (x, theta)
+come from ``sample_quadratures`` as the fit asks for them, and one
+``ml_diagonal_batch`` call fits every job of the run in one EM batch,
+keeping only each job's histogram.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import json
 import math
 import platform
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -80,7 +76,7 @@ from .modes import (
     overlap,
     write_mode_csv,
 )
-from .tomo import MLConfig, ml_diagonal, ml_diagonal_batch
+from .tomo import MLConfig, MLResult, ml_diagonal, ml_diagonal_batch
 
 # The trigger field is made and thinned in chunks of at most this many
 # samples, split evenly, each continuing the last; it bounds memory, and
@@ -136,7 +132,6 @@ class ExperimentConfig:
             "gamma_hz", "grid_dt_ns", "grid_window_ns", "acceptance_window_ns",
             "samples_per_point", "mean_rate_hz", "field_dt_ns", "g2_n_events", "g2_bin_ns",
             "g2_max_delay_ns", "end_to_end_duration_s", "delta_t_bin_ns", "min_pairs_per_bin",
-            "tomo_cutoff", "tomo_n_bins",
         )
         for name in positive:
             value = getattr(self, name)
@@ -156,6 +151,7 @@ class ExperimentConfig:
         ):
             if not count <= limit:
                 raise OutOfRange(f"{name} {count:.3g} exceed the limit {limit:,}")
+        self.ml_config()  # tomo_cutoff and tomo_n_bins meet MLConfig's rules
         if self.rng_seed < 0:
             raise OutOfRange(f"rng_seed must be non-negative, got {self.rng_seed}")
         if not (0.0 <= self.eta <= 1.0):
@@ -226,6 +222,12 @@ def _derive_seeds(seed: int, count: int) -> list[int]:
     # independent child seeds; stable across platforms for a fixed root
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
+
+
+def _sample_seeds(seed: int, count: int) -> list[int]:
+    # job k samples from seed 2k of 2 * count; the odd seeds fed each fit's
+    # bootstrap, which is gone, and leaving them unused keeps every sample stream
+    return _derive_seeds(seed, 2 * count)[::2]
 
 
 def write_manifest(config: ExperimentConfig, out_dir: Path, command: str, outputs: list[str]) -> Path:
@@ -331,11 +333,24 @@ def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStrea
     return stream, n_chunks, seeds[-1]
 
 
-def _draw(jobs: list[tuple[np.ndarray, int, int]]) -> Iterator[np.ndarray]:
-    """The (x, theta) samples of each fit job (reduced state, count, sample
-    seed), drawn one job at a time as they are asked for."""
-    for rho, count, seed in jobs:
-        yield sample_quadratures(rho, count, seed)
+def _sweep_fits(
+    config: ExperimentConfig, mode: str, config_seeds: list[int]
+) -> tuple[list[PhotonDistribution], list[list[MLResult]]]:
+    """The closed form of analysis mode ``mode`` at each delay and, per
+    config seed, its fit at each delay as ``_sweep`` makes it at that seed.
+    Each scene is reduced and dropped in turn; one EM batch fits them all."""
+    rhos, analytic = [], []
+    for delta_ns in config.delays_ns:
+        scene = _build_scene(config, delta_ns * 1e-9)
+        rhos.append(reduce_to_mode(scene.state, scene.modes[mode]))
+        analytic.append(scene.analytic[mode])
+    draws = (
+        sample_quadratures(rho, config.samples_per_point, seed)
+        for config_seed in config_seeds
+        for rho, seed in zip(rhos, _sample_seeds(config_seed, len(rhos)))
+    )
+    results = ml_diagonal_batch(draws, config.ml_config())
+    return analytic, [results[k : k + len(rhos)] for k in range(0, len(results), len(rhos))]
 
 
 def _sweep(
@@ -346,24 +361,12 @@ def _sweep(
     columns: list[str],
     photon_numbers: tuple[int, ...],
 ) -> list[dict]:
-    """Reconstruct the state of the scene's analysis mode ``mode`` at every delay.
-
+    """Tabulate ``_sweep_fits`` of analysis mode ``mode`` at the config seed.
     Each row holds the delay and then, for each n in ``photon_numbers``,
-    the scene's closed form for ``mode``, the reconstructed weight and its
-    stderr at n, under ``columns``; the rows are written to <name>.csv
-    and returned.
-    """
+    the closed form, the reconstructed weight and its stderr at n, under
+    ``columns``; the rows are written to <name>.csv and returned."""
     out = _prepare_out_dir(config, out_dir, name)
-    # point k samples from seed 2k; the odd seeds are unused, and keeping
-    # the layout keeps every point's samples
-    seeds = _derive_seeds(config.rng_seed, 2 * len(config.delays_ns))
-    jobs, analytic = [], []
-    for k, delta_ns in enumerate(config.delays_ns):
-        scene = _build_scene(config, delta_ns * 1e-9)
-        rho = reduce_to_mode(scene.state, scene.modes[mode])
-        jobs.append((rho, config.samples_per_point, seeds[2 * k]))
-        analytic.append(scene.analytic[mode])
-    results = ml_diagonal_batch(_draw(jobs), config.ml_config())
+    analytic, (results,) = _sweep_fits(config, mode, [config.rng_seed])
     table = []
     for delta_ns, closed, result in zip(config.delays_ns, analytic, results):
         per_n = [(closed.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
@@ -450,11 +453,10 @@ def run_fock_panels(
     scene = _build_scene(config, delta_t_ns * 1e-9)
     if "f2" not in scene.modes:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
-    # as in _sweep: mode k samples from seed 2k, and the odd seeds are unused
-    seeds = _derive_seeds(config.rng_seed, 2 * len(scene.modes))
+    seeds = _sample_seeds(config.rng_seed, len(scene.modes))
     rhos = [reduce_to_mode(scene.state, mode) for mode in scene.modes.values()]
-    jobs = [(rho, config.samples_per_point, seeds[2 * k]) for k, rho in enumerate(rhos)]
-    results = ml_diagonal_batch(_draw(jobs), config.ml_config())
+    draws = (sample_quadratures(rho, config.samples_per_point, seed) for rho, seed in zip(rhos, seeds))
+    results = ml_diagonal_batch(draws, config.ml_config())
     outputs = []
     panels = {}
     for (name, mode), rho, result in zip(scene.modes.items(), rhos, results):
@@ -503,8 +505,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
     edges = bin_width * np.arange(n_bins + 1)
     which = np.clip(np.searchsorted(edges, delays, side="right") - 1, 0, n_bins - 1)
-    # as in _sweep: bin b samples from seed 2b, and the odd seeds are unused
-    bin_seeds = _derive_seeds(pair_seed ^ 0xE2E, 2 * n_bins)
+    bin_seeds = _sample_seeds(pair_seed ^ 0xE2E, n_bins)
     bins_report = []
     # per reconstructed bin: its fit job, and its pairs, report entry and
     # closed form
@@ -528,7 +529,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             entry["skipped"] = True
             continue
         scene = _build_scene(config, center_ns * 1e-9)
-        jobs.append((reduce_to_mode(scene.state, scene.modes["f1"]), idx.size, bin_seeds[2 * b]))
+        jobs.append((reduce_to_mode(scene.state, scene.modes["f1"]), idx.size, bin_seeds[b]))
         fitted.append((idx, entry, scene.analytic["f1"]))
     if not jobs:
         raise InsufficientPairs(
@@ -536,7 +537,8 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             f"got {len(pairs)} pairs over {n_bins} bins"
         )
     # the samples are kept for samples.csv, each beside its pair's delay
-    sample_rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(_draw(jobs), fitted)]
+    draws = (sample_quadratures(rho, n, seed) for rho, n, seed in jobs)
+    sample_rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(draws, fitted)]
     results = ml_diagonal_batch([rows[:, :2] for rows in sample_rows], config.ml_config())
     for (_, entry, analytic), result in zip(fitted, results):
         entry["reconstruction"] = result.to_json_dict()

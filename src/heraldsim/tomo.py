@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CutoffExceeded, EmptyInput, InsufficientStatistics, InvalidDensity, OutOfRange
-from .homodyne import X_MAX, hermite_function
+from .homodyne import MAX_FOCK, X_MAX, hermite_function
 
 # Gauss-Legendre order per bin; exact to machine precision for the smooth
 # squared Hermite functions at the default binning.
@@ -64,10 +64,13 @@ class MLConfig:
     n_bins: int = 256
 
     def __post_init__(self) -> None:
-        if self.cutoff < 2:
-            raise CutoffExceeded(f"cutoff must be >= 2, got {self.cutoff}")
-        if self.max_iters < 1 or not self.tol > 0.0 or self.n_bins < 64:
-            raise OutOfRange("invalid iteration settings")
+        if not 2 <= self.cutoff <= MAX_FOCK:
+            raise CutoffExceeded(f"cutoff must lie in [2, {MAX_FOCK}], got {self.cutoff}")
+        for name, value, least in (("max_iters", self.max_iters, 1), ("n_bins", self.n_bins, 64)):
+            if not value >= least:
+                raise OutOfRange(f"{name} must be at least {least}, got {value}")
+        if not self.tol > 0.0:
+            raise OutOfRange(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,8 @@ def test_point_mode_is_the_sweep(tmp_path):
     for n in range(3):
         weight = point["weights"][n]
         assert weight["closed_form"] == rows[0][f"P{n}_analytic"]
-        assert weight["mean"] == pytest.approx(np.mean([r[f"P{n}_reconstructed"] for r in rows]), rel=1e-12)
-        assert weight["mean_stderr"] == pytest.approx(np.mean([r[f"P{n}_stderr"] for r in rows]), rel=1e-12)
+        assert weight["mean"] == np.mean([r[f"P{n}_reconstructed"] for r in rows])
+        assert weight["mean_stderr"] == np.mean([r[f"P{n}_stderr"] for r in rows])
 
 
 def test_driver_mode_smoke():

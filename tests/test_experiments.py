@@ -30,7 +30,7 @@ from heraldsim.analytic import PhotonDistribution, two_photon_weight_lossy
 from heraldsim import clicks, experiments, tomo
 from heraldsim.cli import main
 from heraldsim.clicks import sample_clicks, synthesize_thermal_field
-from heraldsim.errors import DurationTooShort, InsufficientPairs, OutOfRange, RateTooHigh
+from heraldsim.errors import CutoffExceeded, DurationTooShort, InsufficientPairs, OutOfRange, RateTooHigh
 from heraldsim.experiments import (
     FIELD_CHUNK_SAMPLES,
     ExperimentConfig,
@@ -143,6 +143,12 @@ class TestConfig:
             ExperimentConfig(delays_ns=(0.0, math.inf))
         with pytest.raises(OutOfRange, match="dead_time_ns"):
             ExperimentConfig(dead_time_ns=math.nan)
+        # MLConfig's rules hold at construction, before any driver runs
+        for cutoff in (1, 17):
+            with pytest.raises(CutoffExceeded, match="cutoff"):
+                ExperimentConfig(tomo_cutoff=cutoff)
+        with pytest.raises(OutOfRange, match="n_bins"):
+            ExperimentConfig(tomo_n_bins=32)
 
     def test_field_chunks_and_povm_bins_bounded(self):
         # rejected at construction: no field or POVM of that size is made
@@ -832,6 +838,16 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "clicks" in err["message"]
+
+    def test_tomography_settings_error_json(self, tmp_path, capsys):
+        # rejected before the click stream runs: no output directory is made
+        path = tmp_path / "config.json"
+        path.write_text('{"tomo_n_bins": 32}')
+        rc = main(["end-to-end", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and "n_bins" in err["message"]
+        assert not (tmp_path / "run" / "end_to_end").exists()
 
     def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):
         # every delay bin is skipped with a warning, then InsufficientPairs

@@ -475,6 +475,8 @@ class TestMlConfig:
     def test_guards(self):
         with pytest.raises(CutoffExceeded):
             MLConfig(cutoff=1)
+        with pytest.raises(CutoffExceeded):
+            MLConfig(cutoff=17)
         with pytest.raises(OutOfRange):
             MLConfig(n_bins=32)
         with pytest.raises(OutOfRange):
