@@ -10,15 +10,18 @@ output paths, this runs
     seed43    scripts/reproduce_figures.py --seed 43
     pipeline  end-to-end + reconstruct at the perfbench ``pipeline``
               config, seed 7
+    calibrate scripts/calibrate.py point --seeds 2 --delays 0 10 30
+              (default config), its report as calibrate.json
 
-and keeps each run's standard output, the CLI's JSON summaries at full
-precision, as ``<run>.stdout``.  It then prints the sha256 of every file
-under each run and of each stdout file, and exits 1 on any difference
-that is not listed with ``--expect-diff``.  A PATH given there matches
-every file whose path ends in it (``end_to_end/samples.csv`` matches that
-file in all three runs).  For an expected CSV difference the table also
-counts the changed rows and gives the largest change per column; for an
-expected JSON file or stdout difference it counts the changed values and
+and keeps each run's standard output as ``<run>.stdout``: the CLI's JSON
+summaries at full precision, or calibrate's table.  It then prints the
+sha256 of every file under each run and of each stdout file, and exits 1
+on any difference that is not listed with ``--expect-diff``.  A PATH
+given there matches every file whose path ends in it
+(``end_to_end/samples.csv`` matches that file in all three runs that
+write it).  For an expected CSV difference the table also counts the
+changed rows and gives the largest change per column; for an expected
+JSON file or JSON stdout difference it counts the changed values and
 gives the largest change per key path, its list indices written ``[*]``
 (``bins[*].stderr[*]``), or a key found on one side only.
 
@@ -90,6 +93,9 @@ def runs(pipeline_config: Path) -> dict[str, list[list[str]]]:
             [py, "-c", CLI, "end-to-end", *common],
             [py, "-c", CLI, "reconstruct", f"{out}/end_to_end/samples.csv", *common],
         ],
+        # the harness that refits the sweeps through their fit path
+        "calibrate": [[py, "scripts/calibrate.py", "point", "--seeds", "2", "--delays", "0", "10",
+                       "30", "--json", f"{OUT}/calibrate.json"]],
     }
 
 
@@ -233,7 +239,10 @@ def main() -> int:
                 changes = {".csv": csv_changes, ".json": json_changes, ".stdout": json_changes}
                 describe = changes.get(Path(path).suffix)
                 if describe:
-                    note += ": " + describe(tmp / "base" / OUT / path, tmp / "head" / OUT / path)
+                    try:
+                        note += ": " + describe(tmp / "base" / OUT / path, tmp / "head" / OUT / path)
+                    except json.JSONDecodeError:  # a stdout that is a table, as calibrate's
+                        pass
             print(f"{path:<44} {a[:12]:<12} {b[:12]:<12} {note}")
         same = sum(status == "same" for *_, status in rows)
         print(f"\n{same} of {len(rows)} files identical; {'OK' if ok else 'UNEXPECTED DIFFERENCES'}")

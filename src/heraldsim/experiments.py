@@ -26,10 +26,15 @@ picks a mode by name and makes one fit job per fit: the state reduced to
 that mode, a sample count and a sample seed.  ``end_to_end`` does so per
 delay bin with f1, and both sweeps are ``_sweep`` with their own mode and
 photon numbers, whose fits ``_sweep_fits`` makes at any list of config
-seeds.  Job k samples from seed k of ``_sample_seeds``: its (x, theta)
-come from ``sample_quadratures`` as the fit asks for them, and one
-``ml_diagonal_batch`` call fits every job of the run in one EM batch,
-keeping only each job's histogram.
+seeds.  Job k samples from seed k of ``_sample_seeds``.  The sweeps and
+panels take its x values, out of draw order, from ``quadrature_values``
+as the fit asks for them; ``end_to_end``, which writes each sample beside
+its pair's delay, takes its (x, theta) in draw order from
+``sample_quadratures``.  One ``ml_diagonal_batch`` call fits every job of
+the run in one EM batch, keeping only each job's histogram.
+
+Every driver computes all it reports before it creates its output
+directory, so a run that fails leaves none behind.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from .fock import (
     density_matrix_to_json,
     reduce_to_mode,
 )
-from .homodyne import sample_quadratures
+from .homodyne import quadrature_values, sample_quadratures
 from .modes import (
     ModeFunction,
     TimeGrid,
@@ -249,6 +254,7 @@ def write_manifest(config: ExperimentConfig, out_dir: Path, command: str, output
 
 
 def _prepare_out_dir(config: ExperimentConfig, out_dir: str | Path | None, command: str) -> Path:
+    # drivers call this just before their first write, not before the work
     base = Path(out_dir) if out_dir is not None else Path(config.output_dir) / command
     base.mkdir(parents=True, exist_ok=True)
     return base
@@ -345,7 +351,7 @@ def _sweep_fits(
         rhos.append(reduce_to_mode(scene.state, scene.modes[mode]))
         analytic.append(scene.analytic[mode])
     draws = (
-        sample_quadratures(rho, config.samples_per_point, seed)
+        quadrature_values(rho, config.samples_per_point, seed)
         for config_seed in config_seeds
         for rho, seed in zip(rhos, _sample_seeds(config_seed, len(rhos)))
     )
@@ -365,13 +371,13 @@ def _sweep(
     Each row holds the delay and then, for each n in ``photon_numbers``,
     the closed form, the reconstructed weight and its stderr at n, under
     ``columns``; the rows are written to <name>.csv and returned."""
-    out = _prepare_out_dir(config, out_dir, name)
     analytic, (results,) = _sweep_fits(config, mode, [config.rng_seed])
     table = []
     for delta_ns, closed, result in zip(config.delays_ns, analytic, results):
         per_n = [(closed.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
         table.append([delta_ns, *(value for triple in per_n for value in triple)])
     header = ",".join(columns)
+    out = _prepare_out_dir(config, out_dir, name)
     np.savetxt(out / f"{name}.csv", table, fmt="%.12g", delimiter=",", header=header, comments="")
     write_manifest(config, out, name, [f"{name}.csv"])
     return [dict(zip(columns, row)) for row in table]
@@ -387,11 +393,11 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     Writes g2.csv (delay_ns, g2_empirical, g2_theory), summary.json, and a
     manifest.  Returns the summary dict.
     """
-    out = _prepare_out_dir(config, out_dir, "g2")
     stream, n_chunks, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
     hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)
     deviation = np.abs(hist.g2 - theory)
+    out = _prepare_out_dir(config, out_dir, "g2")
     csv_path = out / "g2.csv"
     write_g2_csv(hist, csv_path, gamma=config.gamma_hz)
     summary = {
@@ -449,14 +455,14 @@ def run_fock_panels(
     """
     if delta_t_ns < 0.0:
         raise OutOfRange(f"panel delay must be non-negative, got {delta_t_ns} ns")
-    out = _prepare_out_dir(config, out_dir, "fock_panels")
     scene = _build_scene(config, delta_t_ns * 1e-9)
     if "f2" not in scene.modes:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
     seeds = _sample_seeds(config.rng_seed, len(scene.modes))
     rhos = [reduce_to_mode(scene.state, mode) for mode in scene.modes.values()]
-    draws = (sample_quadratures(rho, config.samples_per_point, seed) for rho, seed in zip(rhos, seeds))
+    draws = (quadrature_values(rho, config.samples_per_point, seed) for rho, seed in zip(rhos, seeds))
     results = ml_diagonal_batch(draws, config.ml_config())
+    out = _prepare_out_dir(config, out_dir, "fock_panels")
     outputs = []
     panels = {}
     for (name, mode), rho, result in zip(scene.modes.items(), rhos, results):
@@ -490,7 +496,6 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     skipped with a warning; if every bin is skipped, InsufficientPairs is
     raised.  Writes samples.csv (x, theta_rad, delta_t_ns) and report.json.
     """
-    out = _prepare_out_dir(config, out_dir, "end_to_end")
     stream, _, pair_seed = _click_stream(config, config.end_to_end_duration_s)
     pairs = select_coincidences(
         stream,
@@ -545,6 +550,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         entry["stderr"] = [float(s) for s in result.stderr]
         entry["analytic_probs"] = [float(p) for p in analytic.probs]
         entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
+    out = _prepare_out_dir(config, out_dir, "end_to_end")
     np.savetxt(
         out / "samples.csv", np.concatenate(sample_rows), fmt="%.12g", delimiter=",",
         header="x,theta_rad,delta_t_ns", comments="",
@@ -572,13 +578,13 @@ def reconstruct_samples(
     Writes reconstruction.json holding the tomography output plus its
     standard errors.
     """
-    out = _prepare_out_dir(config, out_dir, "reconstruct")
     x = _read_samples_csv(samples_csv)
     result = ml_diagonal(x, config.ml_config())
     payload = result.to_json_dict()
     payload["stderr"] = [float(s) for s in result.stderr]
     payload["n_samples"] = int(x.size)
     payload["source"] = str(samples_csv)
+    out = _prepare_out_dir(config, out_dir, "reconstruct")
     (out / "reconstruction.json").write_text(json.dumps(payload, indent=2) + "\n")
     write_manifest(config, out, "reconstruct", ["reconstruction.json"])
     return payload

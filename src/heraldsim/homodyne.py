@@ -12,7 +12,10 @@ here is phase-independent: a single-mode state is Fock-diagonal, and x
 follows its mixture density through a tabulated inverse CDF; a two-mode
 state has coherences only between equal total photon numbers, which every
 heralded pair state has.  Either sampler raises InvalidDensity for any
-other state.
+other state.  ``quadrature_values`` gives the x values of a single-mode
+draw without their phases and in the order of their sorted uniforms,
+which is all a histogram needs; ``sample_quadratures`` keeps each x in draw order beside
+its theta.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
@@ -80,6 +83,29 @@ def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
     return out
 
 
+def _mixture_cdf(rho: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checks of a 1-d quadrature draw, then the trapezoid-rule CDF of the
+    mixture density of ``rho`` on GRID_1D nodes over [-X_MAX, X_MAX],
+    normalized: (cdf, nodes)."""
+    if count <= 0:
+        raise EmptyInput(f"sample count must be positive, got {count}")
+    rho = np.asarray(rho, dtype=complex)
+    check_density(rho)
+    if rho.shape[0] - 1 > MAX_FOCK:
+        raise CutoffExceeded(f"density matrix cutoff {rho.shape[0] - 1} > {MAX_FOCK}")
+    coherence = float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
+    if coherence >= 1e-12:
+        raise InvalidDensity(
+            f"coherence {coherence:.2e} between unequal photon numbers; "
+            "the quadrature sampler needs a Fock-diagonal density"
+        )
+    xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
+    pdf = mixture_pdf(photon_distribution(rho), xs)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])
+    cdf /= cdf[-1]
+    return cdf, xs
+
+
 def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
     """Draw ``count`` (x, theta) pairs from a Fock-diagonal single-mode
     density matrix.
@@ -95,26 +121,29 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
     Returns an array of shape (count, 2) with columns (x, theta).
     Deterministic for a fixed seed.
     """
-    if count <= 0:
-        raise EmptyInput(f"sample count must be positive, got {count}")
-    rho = np.asarray(rho, dtype=complex)
-    check_density(rho)
-    if rho.shape[0] - 1 > MAX_FOCK:
-        raise CutoffExceeded(f"density matrix cutoff {rho.shape[0] - 1} > {MAX_FOCK}")
-    coherence = float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
-    if coherence >= 1e-12:
-        raise InvalidDensity(
-            f"coherence {coherence:.2e} between unequal photon numbers; "
-            "the quadrature sampler needs a Fock-diagonal density"
-        )
+    cdf, xs = _mixture_cdf(rho, count)
     rng = np.random.default_rng(rng_seed)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
-    pdf = mixture_pdf(photon_distribution(rho), xs)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])
-    cdf /= cdf[-1]
     x = _inverse_cdf(rng.uniform(0.0, 1.0, size=count), cdf, xs)
     return np.column_stack([x, theta])
+
+
+def quadrature_values(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
+    """The x values of ``sample_quadratures(rho, count, rng_seed)`` in the
+    order of their sorted uniforms, not in draw order.
+
+    The same stream is drawn, theta first and dropped, and the sorted
+    uniforms go through the same lookup, so the values are those of
+    ``sample_quadratures(...)[:, 0]`` bit for bit, as a multiset.  For a
+    fit, which only histograms them, this skips putting them back into
+    draw order.  Raises as ``sample_quadratures`` does.
+    """
+    cdf, xs = _mixture_cdf(rho, count)
+    rng = np.random.default_rng(rng_seed)
+    rng.uniform(0.0, 2.0 * math.pi, size=count)  # theta
+    u = rng.uniform(0.0, 1.0, size=count)
+    u.sort()
+    return np.interp(u, cdf, xs)
 
 
 def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -17,9 +17,10 @@ Each row stops on its own relative log-likelihood change; a stopped row
 leaves the batch, so its result is the one a single-row run would give.
 ``ml_diagonal_batch`` bins every sample set of a driver run against one
 POVM and fits all their histograms in one such batch; ``ml_diagonal`` is
-its case of one set.  The phases are not needed: the heralded states are
-Fock-diagonal, so the photon-number distribution is all there is to
-reconstruct.
+its case of one set.  A set is binned by sorting it and searching for the
+bin edges, so its order does not matter.  The phases are not needed: the
+heralded states are Fock-diagonal, so the photon-number distribution is
+all there is to reconstruct.
 
 The result's ``stderr`` is the observed information of the binned
 multinomial likelihood at the EM estimate, with no resampling and no RNG.
@@ -133,7 +134,11 @@ class MLResult:
 
 def _histogram(samples: np.ndarray, povm: BinnedPOVM) -> np.ndarray:
     """Bin the x column of ``samples`` (1-d x or (N, 2) rows of (x, theta))
-    on the binning of ``povm``."""
+    on the binning of ``povm``, in any order.
+
+    Bin k holds edges[k] <= x < edges[k + 1]; the first and last bins also
+    hold everything below and above the grid.
+    """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 2:
         x = x[:, 0]
@@ -141,15 +146,8 @@ def _histogram(samples: np.ndarray, povm: BinnedPOVM) -> np.ndarray:
         raise EmptyInput("no quadrature samples")
     if not np.all(np.isfinite(x)):
         raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
-    edges = povm.edges
-    x = np.clip(x, edges[0], edges[-1] - 1e-12)
-    # the largest k with edges[k] <= x, as searchsorted(side="right") - 1
-    # finds it: the uniform-grid guess is off by at most one either way
-    idx = np.floor((x - edges[0]) / (edges[1] - edges[0])).astype(np.intp)
-    np.clip(idx, 0, povm.n_bins - 1, out=idx)
-    idx -= edges[idx] > x
-    idx += edges[idx + 1] <= x
-    return np.bincount(idx, minlength=povm.n_bins).astype(float)
+    below = np.searchsorted(np.sort(x), povm.edges[1:-1], side="left")
+    return np.diff(below, prepend=0, append=x.size).astype(float)
 
 
 def _em(

@@ -131,3 +131,18 @@ def test_json_changes_reads_a_stdout_of_several_documents(tmp_path):
         "1 of 3 values differ; largest change: [*].rows[*] 1.0e+00"
     )
     assert check_identity.json_changes(a, a) == "0 of 3 values differ; largest change: none"
+
+
+def test_calibrate_run_writes_its_report(tmp_path, monkeypatch):
+    # the calibrate command runs in a checkout and leaves its JSON report
+    # and its table beside the other runs' files
+    root = check_identity.ROOT
+    for name in ("scripts", "src"):
+        (tmp_path / name).symlink_to(root / name)
+    calibrate = check_identity.runs(tmp_path / "config.json")["calibrate"]
+    monkeypatch.setattr(check_identity, "runs", lambda config: {"calibrate": calibrate})
+    hashes = check_identity.produce(tmp_path, tmp_path / "config.json")
+    assert set(hashes) == {"calibrate.json", "calibrate.stdout"}
+    report = json.loads((tmp_path / check_identity.OUT / "calibrate.json").read_text())
+    assert report["seeds"] == [0, 1]
+    assert [p["delta_t_ns"] for p in report["points"]["f1"]] == [0.0, 10.0, 30.0]

@@ -48,7 +48,7 @@ from heraldsim.experiments import (
     save_config,
 )
 from heraldsim.fock import density_matrix_from_json, photon_distribution, reduce_to_mode
-from heraldsim.homodyne import sample_quadratures
+from heraldsim.homodyne import quadrature_values, sample_quadratures
 from heraldsim.modes import ModeFunction, extend_orthonormal_basis
 
 from conftest import ETA, GAMMA
@@ -257,6 +257,28 @@ class TestDelaySweep:
         run_delay_sweep(TINY, tmp_path)
         assert em_rows == [len(TINY.delays_ns)]
         assert len(povms) == 1
+
+    def test_fits_equal_over_either_sampler(self):
+        # a fit only histograms its draws, so the x values out of draw
+        # order fit as the samples in draw order do, bit for bit
+        rhos = []
+        for delta_ns in TINY.delays_ns:
+            scene = _build_scene(TINY, delta_ns * 1e-9)
+            rhos.append(reduce_to_mode(scene.state, scene.modes["f1"]))
+        seeds = experiments._sample_seeds(TINY.rng_seed, len(rhos))
+        in_order, out_of_order = (
+            tomo.ml_diagonal_batch(
+                [sampler(rho, TINY.samples_per_point, seed) for rho, seed in zip(rhos, seeds)],
+                TINY.ml_config(),
+            )
+            for sampler in (sample_quadratures, quadrature_values)
+        )
+        for a, b in zip(in_order, out_of_order, strict=True):
+            np.testing.assert_array_equal(a.probs, b.probs)
+            np.testing.assert_array_equal(a.stderr, b.stderr)
+            assert (a.iterations, a.converged, a.log_likelihood) == (
+                b.iterations, b.converged, b.log_likelihood
+            )
 
 
 def test_import_leaves_scipy_unloaded():
@@ -490,7 +512,8 @@ class TestFockPanels:
 
     def test_zero_delay_rejected(self, tmp_path):
         with pytest.raises(OutOfRange):
-            run_fock_panels(TINY, 0.0, tmp_path)
+            run_fock_panels(TINY, 0.0, tmp_path / "panels")
+        assert not (tmp_path / "panels").exists()
 
     def test_sweeps_report_the_panels_analytic_values(self, tmp_path):
         # one closed form per mode and delay: the sweeps' analytic columns
@@ -589,6 +612,15 @@ class TestEndToEnd:
         )
         with pytest.raises(InsufficientPairs):
             end_to_end(sparse, tmp_path)
+
+    def test_failed_run_leaves_no_directory(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"end_to_end_duration_s": 0.001, "min_pairs_per_bin": 100000}))
+        rc = main(["end-to-end", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line)["error"]["type"] == "InsufficientPairs"
+        assert not (tmp_path / "run").exists()
 
     def test_skip_warning(self, tmp_path):
         sparse = dataclasses.replace(
@@ -779,7 +811,7 @@ class TestCli:
         def out_of_memory(rho, count, rng_seed):
             raise MemoryError(f"Unable to allocate {8 * count} bytes")
 
-        monkeypatch.setattr(experiments, "sample_quadratures", out_of_memory)
+        monkeypatch.setattr(experiments, "quadrature_values", out_of_memory)
         cfg_path, _ = self.config_file(tmp_path)
         rc = main(["sweep-delay", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
         assert rc == 1

@@ -34,6 +34,7 @@ from heraldsim.homodyne import (
     mixture_pdf,
     photon_distribution,
     project_trace,
+    quadrature_values,
     sample_quadratures,
     synthesize_trace_batch,
 )
@@ -226,6 +227,38 @@ class TestSortedLookup:
         u = rng.choice(pool, size=count)
         expected = np.interp(u, cdf, xs)
         np.testing.assert_array_equal(_inverse_cdf(u.copy(), cdf, xs), expected)
+
+
+class TestQuadratureValues:
+    """``quadrature_values`` holds the x column of ``sample_quadratures``
+    bit for bit, as a multiset, and refuses what it refuses."""
+
+    @pytest.mark.parametrize("state", sorted(TestSortedLookup.STATES))
+    @pytest.mark.parametrize("count", [1, 500, 100_000])
+    def test_same_values_as_the_sampler(self, state, count):
+        rho = np.diag(TestSortedLookup.STATES[state]).astype(complex)
+        values = quadrature_values(rho, count, rng_seed=31)
+        samples = sample_quadratures(rho, count, rng_seed=31)
+        assert values.shape == (count,)
+        np.testing.assert_array_equal(np.sort(values), np.sort(samples[:, 0]))
+
+    @pytest.mark.parametrize(
+        "rho, count, error",
+        [
+            (np.array([[1.0]], dtype=complex), 0, EmptyInput),
+            (np.diag([0.7, 0.7]).astype(complex), 10, InvalidDensity),
+            (0.5 * np.ones((2, 2), dtype=complex), 10, InvalidDensity),
+            (np.diag(np.full(MAX_FOCK + 2, 1.0 / (MAX_FOCK + 2))).astype(complex), 10, CutoffExceeded),
+        ],
+        ids=["no_samples", "trace", "coherence", "cutoff"],
+    )
+    def test_same_errors_as_the_sampler(self, rho, count, error):
+        messages = []
+        for sampler in (sample_quadratures, quadrature_values):
+            with pytest.raises(error) as info:
+                sampler(rho, count, rng_seed=1)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestJointSampling:

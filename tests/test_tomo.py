@@ -443,8 +443,9 @@ class TestDiagonalBatch:
 
 
 class TestHistogram:
-    """``_histogram`` bins by arithmetic on the uniform edges and must put
-    every x where ``searchsorted(edges, x, side="right") - 1`` does."""
+    """``_histogram`` sorts the samples and searches them for the inner
+    edges; whatever their order, it must put every x where
+    ``searchsorted(edges, x, side="right") - 1`` does."""
 
     @pytest.mark.parametrize("n_bins", [64, 256, 1000])
     def test_bit_equal_to_searchsorted(self, n_bins):
