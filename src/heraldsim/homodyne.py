@@ -14,8 +14,8 @@ state has coherences only between equal total photon numbers, which every
 heralded pair state has.  Either sampler raises InvalidDensity for any
 other state.  ``quadrature_values`` gives the x values of a single-mode
 draw without their phases and in the order of their sorted uniforms,
-which is all a histogram needs; ``sample_quadratures`` keeps each x in draw order beside
-its theta.
+which is all a histogram needs; ``sample_quadratures`` keeps each x in
+draw order beside its theta.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
