@@ -76,7 +76,8 @@ class ModesNotOrthogonal(HeraldSimError):
 # ---- click statistics ----
 
 class ResolutionTooCoarse(HeraldSimError):
-    """Field grid too coarse to resolve the coherence time."""
+    """Field grid too coarse to resolve the coherence time, or mode grid
+    too coarse to give the trigger-mode overlap its closed form."""
 
 
 class DurationTooShort(HeraldSimError):

@@ -22,16 +22,14 @@ reconstruct_samples tomography of an existing quadrature CSV
 The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
 delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
 at zero delay), each analysis mode and its lossy closed form.  A driver
-picks a mode by name and makes one fit job per fit: the state reduced to
-that mode, a sample count and a sample seed.  ``end_to_end`` does so per
-delay bin with f1, and both sweeps are ``_sweep`` with their own mode and
-photon numbers, whose fits ``_sweep_fits`` makes at any list of config
-seeds.  Job k samples from seed k of ``_sample_seeds``.  The sweeps and
-panels take its x values, out of draw order, from ``quadrature_values``
-as the fit asks for them; ``end_to_end``, which writes each sample beside
-its pair's delay, takes its (x, theta) in draw order from
-``sample_quadratures``.  One ``ml_diagonal_batch`` call fits every job of
-the run in one EM batch, keeping only each job's histogram.
+picks a mode by name and reduces the state to it.  Both sweeps are
+``_sweep``, whose ``_sweep_fits`` reduces a state per delay; the panels
+reduce one per mode.  Both fit them through ``_fit_states``, at any list
+of config seeds: state k draws x values from seed k of ``_sample_seeds``
+through ``quadrature_values``, out of draw order, and one
+``ml_diagonal_batch`` call keeps only each histogram.  ``end_to_end``
+draws each delay bin's (x, theta) in draw order from
+``sample_quadratures``, for samples.csv, and fits them in one batch.
 
 Every driver computes all it reports before it creates its output
 directory, so a run that fails leaves none behind.
@@ -62,7 +60,7 @@ from .clicks import (
     thermal_field_chunks,
     write_g2_csv,
 )
-from .errors import InsufficientPairs, OutOfRange
+from .errors import InsufficientPairs, OutOfRange, ResolutionTooCoarse
 from .fock import (
     ModeRegister,
     MultimodeState,
@@ -79,6 +77,7 @@ from .modes import (
     make_symmetric_antisymmetric,
     make_trigger_mode,
     overlap,
+    overlap_closed_form,
     write_mode_csv,
 )
 from .tomo import MLConfig, MLResult, ml_diagonal, ml_diagonal_batch
@@ -96,6 +95,10 @@ MAX_ARRAY_LENGTH = 10**6
 # end_to_end_duration_s: their times are held in memory, twice while they
 # are joined (the defaults expect 1e6 and 4e6).
 MAX_CLICKS = 10**8
+# Largest gap the mode grid may leave between the discrete trigger overlap
+# and ``overlap_closed_form``: as |dF+/dI| <= 1, P2 then moves by at most
+# eta**2 times this, 0.2 stderr at 1e5 samples and the default eta.
+MAX_OVERLAP_GAP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,9 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     the fixed-mode distribution for g1 and g2, diag(F-, 0, F+) for f1 and
     diag(F+, 0, F-) for f2, each through binomial loss.  At zero delay the
     triggers coincide: the state is a two-photon Fock state in the single
-    mode g1 = g2 = f1, and there is no f2.
+    mode g1 = g2 = f1, and there is no f2.  A grid that puts the overlap of
+    g1 and g2 beyond MAX_OVERLAP_GAP of its closed form raises
+    ResolutionTooCoarse.
     """
     grid = config.grid()
     center = 0.5 * (config.grid_window_ns * 1e-9)
@@ -292,9 +297,16 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
         basis, ov = [g1], 1.0
     else:
         g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
+        ov = overlap(g1, g2)
+        gap = abs(ov - overlap_closed_form(delta_t, config.gamma_hz))
+        if not gap <= MAX_OVERLAP_GAP:
+            raise ResolutionTooCoarse(
+                f"grid_dt_ns {config.grid_dt_ns} puts the trigger-mode overlap at {delta_t * 1e9:g} ns "
+                f"delay {gap:.2e} from its closed form, beyond {MAX_OVERLAP_GAP:g}; use a finer grid"
+            )
         f1, f2 = make_symmetric_antisymmetric(g1, g2)
         modes = {"g1": g1, "g2": g2, "f1": f1, "f2": f2}
-        basis, ov = extend_orthonormal_basis([g1, g2], grid, 2), overlap(g1, g2)
+        basis = extend_orthonormal_basis([g1, g2], grid, 2)
     register = ModeRegister(modes=tuple(basis))
     state = apply_loss_channel(build_heralded_state(register, g1, modes["g2"]), config.eta)
     fixed = apply_loss(fixed_mode_distribution(ov), config.eta)
@@ -339,24 +351,30 @@ def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStrea
     return stream, n_chunks, seeds[-1]
 
 
+def _fit_states(config: ExperimentConfig, rhos: list[np.ndarray], seeds: list[int]) -> list[list[MLResult]]:
+    """Per config seed in ``seeds``, the fit of each reduced state in ``rhos``,
+    state k drawn from seed k of its ``_sample_seeds``, all in one EM batch."""
+    draws = (
+        quadrature_values(rho, config.samples_per_point, job_seed)
+        for seed in seeds
+        for rho, job_seed in zip(rhos, _sample_seeds(seed, len(rhos)))
+    )
+    results = ml_diagonal_batch(draws, config.ml_config())
+    return [results[k : k + len(rhos)] for k in range(0, len(results), len(rhos))]
+
+
 def _sweep_fits(
     config: ExperimentConfig, mode: str, config_seeds: list[int]
 ) -> tuple[list[PhotonDistribution], list[list[MLResult]]]:
     """The closed form of analysis mode ``mode`` at each delay and, per
     config seed, its fit at each delay as ``_sweep`` makes it at that seed.
-    Each scene is reduced and dropped in turn; one EM batch fits them all."""
+    Each scene is reduced and dropped in turn."""
     rhos, analytic = [], []
     for delta_ns in config.delays_ns:
         scene = _build_scene(config, delta_ns * 1e-9)
         rhos.append(reduce_to_mode(scene.state, scene.modes[mode]))
         analytic.append(scene.analytic[mode])
-    draws = (
-        quadrature_values(rho, config.samples_per_point, seed)
-        for config_seed in config_seeds
-        for rho, seed in zip(rhos, _sample_seeds(config_seed, len(rhos)))
-    )
-    results = ml_diagonal_batch(draws, config.ml_config())
-    return analytic, [results[k : k + len(rhos)] for k in range(0, len(results), len(rhos))]
+    return analytic, _fit_states(config, rhos, config_seeds)
 
 
 def _sweep(
@@ -458,10 +476,8 @@ def run_fock_panels(
     scene = _build_scene(config, delta_t_ns * 1e-9)
     if "f2" not in scene.modes:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
-    seeds = _sample_seeds(config.rng_seed, len(scene.modes))
     rhos = [reduce_to_mode(scene.state, mode) for mode in scene.modes.values()]
-    draws = (quadrature_values(rho, config.samples_per_point, seed) for rho, seed in zip(rhos, seeds))
-    results = ml_diagonal_batch(draws, config.ml_config())
+    (results,) = _fit_states(config, rhos, [config.rng_seed])
     out = _prepare_out_dir(config, out_dir, "fock_panels")
     outputs = []
     panels = {}
@@ -512,9 +528,9 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     which = np.clip(np.searchsorted(edges, delays, side="right") - 1, 0, n_bins - 1)
     bin_seeds = _sample_seeds(pair_seed ^ 0xE2E, n_bins)
     bins_report = []
-    # per reconstructed bin: its fit job, and its pairs, report entry and
-    # closed form
-    jobs, fitted = [], []
+    # per reconstructed bin: its (x, theta) in draw order, for samples.csv
+    # beside its pairs' delays, and its pairs, report entry and closed form
+    samples, fitted = [], []
     for b in range(n_bins):
         idx = np.flatnonzero(which == b)
         center_ns = (edges[b] + 0.5 * bin_width) * 1e9
@@ -534,32 +550,31 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
             entry["skipped"] = True
             continue
         scene = _build_scene(config, center_ns * 1e-9)
-        jobs.append((reduce_to_mode(scene.state, scene.modes["f1"]), idx.size, bin_seeds[b]))
+        rho = reduce_to_mode(scene.state, scene.modes["f1"])
+        samples.append(sample_quadratures(rho, idx.size, bin_seeds[b]))
         fitted.append((idx, entry, scene.analytic["f1"]))
-    if not jobs:
+    if not samples:
         raise InsufficientPairs(
             f"no delay bin reached {config.min_pairs_per_bin} pairs; "
             f"got {len(pairs)} pairs over {n_bins} bins"
         )
-    # the samples are kept for samples.csv, each beside its pair's delay
-    draws = (sample_quadratures(rho, n, seed) for rho, n, seed in jobs)
-    sample_rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(draws, fitted)]
-    results = ml_diagonal_batch([rows[:, :2] for rows in sample_rows], config.ml_config())
+    results = ml_diagonal_batch(samples, config.ml_config())
     for (_, entry, analytic), result in zip(fitted, results):
         entry["reconstruction"] = result.to_json_dict()
         entry["stderr"] = [float(s) for s in result.stderr]
         entry["analytic_probs"] = [float(p) for p in analytic.probs]
         entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
+    rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(samples, fitted)]
     out = _prepare_out_dir(config, out_dir, "end_to_end")
     np.savetxt(
-        out / "samples.csv", np.concatenate(sample_rows), fmt="%.12g", delimiter=",",
+        out / "samples.csv", np.concatenate(rows), fmt="%.12g", delimiter=",",
         header="x,theta_rad,delta_t_ns", comments="",
     )
     report = {
         "n_clicks": int(len(stream)),
         "n_pairs": int(len(pairs)),
         "n_bins": n_bins,
-        "n_bins_reconstructed": len(jobs),
+        "n_bins_reconstructed": len(samples),
         "duration_s": stream.duration,
         "bins": bins_report,
     }

@@ -12,10 +12,10 @@ here is phase-independent: a single-mode state is Fock-diagonal, and x
 follows its mixture density through a tabulated inverse CDF; a two-mode
 state has coherences only between equal total photon numbers, which every
 heralded pair state has.  Either sampler raises InvalidDensity for any
-other state.  ``quadrature_values`` gives the x values of a single-mode
-draw without their phases and in the order of their sorted uniforms,
-which is all a histogram needs; ``sample_quadratures`` keeps each x in
-draw order beside its theta.
+other state.  ``sample_quadratures`` keeps each x in draw order beside
+its theta; ``quadrature_values`` gives the same x values without their
+phases, in the order of their sorted uniforms, which is all a histogram
+needs.  Both take their checks, CDF and stream from ``_quadrature_draw``.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
@@ -30,6 +30,7 @@ state reduced to that mode, which the drivers sample directly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -83,10 +84,12 @@ def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def _mixture_cdf(rho: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Checks of a 1-d quadrature draw, then the trapezoid-rule CDF of the
-    mixture density of ``rho`` on GRID_1D nodes over [-X_MAX, X_MAX],
-    normalized: (cdf, nodes)."""
+def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[Iterator, np.ndarray, np.ndarray]:
+    """Checks and stream of a 1-d quadrature draw: (stream, cdf, nodes), with
+    x = interp(u, cdf, nodes).  ``stream`` draws ``count`` thetas, then
+    ``count`` uniforms u, from ``rng_seed`` as each is asked for, so theta can
+    be freed before u is drawn.  Every reduction of a heralded pair state to
+    one mode is diagonal; a coherence of 1e-12 or more raises InvalidDensity."""
     if count <= 0:
         raise EmptyInput(f"sample count must be positive, got {count}")
     rho = np.asarray(rho, dtype=complex)
@@ -103,61 +106,41 @@ def _mixture_cdf(rho: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     pdf = mixture_pdf(photon_distribution(rho), xs)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])
     cdf /= cdf[-1]
-    return cdf, xs
+    rng = np.random.default_rng(rng_seed)
+    return (rng.uniform(0.0, high, size=count) for high in (2.0 * math.pi, 1.0)), cdf, xs
 
 
 def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
-    """Draw ``count`` (x, theta) pairs from a Fock-diagonal single-mode
-    density matrix.
+    """Draw ``count`` (x, theta) pairs, in draw order, from a Fock-diagonal
+    single-mode density matrix.
 
     theta is uniform on [0, 2*pi), and x follows the phase-independent
     mixture density through the piecewise-linear inverse of its
-    trapezoid-rule CDF on GRID_1D nodes over [-X_MAX, X_MAX], looked up
-    for the uniforms in ascending order (``_inverse_cdf``): the draws are
-    those of a lookup in draw order, bit for bit, in less than half its
-    time.  Every reduction of a heralded pair state to one mode is
-    diagonal; a coherence of 1e-12 or more raises InvalidDensity.
+    trapezoid-rule CDF on GRID_1D nodes over [-X_MAX, X_MAX].  Raises
+    InvalidDensity for a state that is not Fock-diagonal.
 
     Returns an array of shape (count, 2) with columns (x, theta).
     Deterministic for a fixed seed.
     """
-    cdf, xs = _mixture_cdf(rho, count)
-    rng = np.random.default_rng(rng_seed)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    x = _inverse_cdf(rng.uniform(0.0, 1.0, size=count), cdf, xs)
-    return np.column_stack([x, theta])
+    (theta, u), cdf, xs = _quadrature_draw(rho, count, rng_seed)
+    return np.column_stack([np.interp(u, cdf, xs), theta])
 
 
 def quadrature_values(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
     """The x values of ``sample_quadratures(rho, count, rng_seed)`` in the
     order of their sorted uniforms, not in draw order.
 
-    The same stream is drawn, theta first and dropped, and the sorted
-    uniforms go through the same lookup, so the values are those of
-    ``sample_quadratures(...)[:, 0]`` bit for bit, as a multiset.  For a
-    fit, which only histograms them, this skips putting them back into
-    draw order.  Raises as ``sample_quadratures`` does.
+    The same stream goes through the same lookup, whose segment and slope
+    for a query do not depend on the order of the queries, so the values
+    are those of ``sample_quadratures(...)[:, 0]`` bit for bit, as a
+    multiset.  For a fit, which only histograms them, the sorted lookup is
+    faster.  Raises as ``sample_quadratures`` does.
     """
-    cdf, xs = _mixture_cdf(rho, count)
-    rng = np.random.default_rng(rng_seed)
-    rng.uniform(0.0, 2.0 * math.pi, size=count)  # theta
-    u = rng.uniform(0.0, 1.0, size=count)
+    stream, cdf, xs = _quadrature_draw(rho, count, rng_seed)
+    next(stream)  # theta, freed before u is drawn
+    u = next(stream)
     u.sort()
     return np.interp(u, cdf, xs)
-
-
-def _inverse_cdf(u: np.ndarray, cdf: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``np.interp(u, cdf, xs)`` bit for bit, written over ``u``.
-
-    The uniforms are looked up in ascending order, so that each search
-    starts next to the last.  ``np.interp`` maps a query to the segment of
-    the largest node at or below it, whatever the order of the queries, and
-    its slope there depends only on the nodes.
-    """
-    order = np.argsort(u)
-    u[:] = u[order]
-    u[order] = np.interp(u, cdf, xs)
-    return u
 
 
 def joint_sample_two_modes(rho2: np.ndarray, count: int, rng_seed: int) -> np.ndarray:

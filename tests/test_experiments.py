@@ -30,7 +30,14 @@ from heraldsim.analytic import PhotonDistribution, two_photon_weight_lossy
 from heraldsim import clicks, experiments, tomo
 from heraldsim.cli import main
 from heraldsim.clicks import sample_clicks, synthesize_thermal_field
-from heraldsim.errors import CutoffExceeded, DurationTooShort, InsufficientPairs, OutOfRange, RateTooHigh
+from heraldsim.errors import (
+    CutoffExceeded,
+    DurationTooShort,
+    InsufficientPairs,
+    OutOfRange,
+    RateTooHigh,
+    ResolutionTooCoarse,
+)
 from heraldsim.experiments import (
     FIELD_CHUNK_SAMPLES,
     ExperimentConfig,
@@ -555,6 +562,30 @@ def test_scene_reductions_are_exactly_diagonal(delta_t_ns):
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
 
 
+@pytest.mark.parametrize(
+    "overrides, first_refused_ns",
+    [
+        # each trigger mode is one grid sample: their overlap is 0, as the
+        # closed form gives at every nonzero delay
+        ({"gamma_hz": 1e12}, []),
+        # the largest gap over the default delays is 3.1e-4
+        ({"grid_dt_ns": 0.3, "grid_window_ns": 600.0}, []),
+        # 1.2e-3 at 6 ns, the first delay beyond the limit
+        ({"grid_dt_ns": 0.6, "grid_window_ns": 600.0}, [6.0]),
+    ],
+    ids=["narrow_modes", "fine_enough", "too_coarse"],
+)
+def test_scene_refuses_a_grid_that_moves_the_overlap(overrides, first_refused_ns):
+    config = ExperimentConfig(**overrides)
+    refused = []
+    for delta_ns in config.delays_ns:
+        try:
+            _build_scene(config, delta_ns * 1e-9)
+        except ResolutionTooCoarse:
+            refused.append(delta_ns)
+    assert refused[:1] == first_refused_ns
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestEndToEnd:
     def test_report_shape(self, e2e_run, tmp_path):
@@ -880,6 +911,17 @@ class TestCli:
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "n_bins" in err["message"]
         assert not (tmp_path / "run" / "end_to_end").exists()
+
+    def test_coarse_mode_grid_error_json(self, tmp_path, capsys):
+        # a 6 ns step puts the trigger-mode overlap at 2 ns 2.8e-2 off its
+        # closed form, which would move the analytic columns unflagged
+        path = tmp_path / "config.json"
+        path.write_text('{"grid_dt_ns": 6, "grid_window_ns": 600}')
+        rc = main(["sweep-delay", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "ResolutionTooCoarse" and "overlap" in err["message"]
+        assert not (tmp_path / "run").exists()
 
     def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):
         # every delay bin is skipped with a warning, then InsufficientPairs

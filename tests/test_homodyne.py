@@ -27,7 +27,6 @@ from heraldsim.homodyne import (
     GRID_1D,
     MAX_FOCK,
     X_MAX,
-    _inverse_cdf,
     fock_quadrature_pdf,
     hermite_function,
     joint_sample_two_modes,
@@ -192,8 +191,9 @@ def tabulated_cdf(rho):
 
 
 class TestSortedLookup:
-    """``sample_quadratures`` looks its uniforms up in ascending order and
-    must give the draws of a plain ``np.interp`` in draw order, bit for bit."""
+    """``sample_quadratures`` must give, bit for bit, the draws of a plain
+    ``np.interp`` of the uniforms in draw order on the tabulated CDF, the
+    stream that ``quadrature_values`` looks up in ascending order."""
 
     # vacuum has the widest flat tails (2,590 repeated CDF nodes), the
     # lossy two-photon state about as many as a default sweep point
@@ -216,17 +216,6 @@ class TestSortedLookup:
         x = np.interp(rng.uniform(0.0, 1.0, size=count), cdf, xs)
         samples = sample_quadratures(rho, count, rng_seed=31)
         np.testing.assert_array_equal(samples, np.column_stack([x, theta]))
-
-    @pytest.mark.parametrize("count", [1, 500, 100_000])
-    def test_repeated_nodes_and_ends(self, count):
-        # queries on the CDF's own values, its flat runs included, at both
-        # ends and beyond them, in random order and with repeats
-        xs, cdf = tabulated_cdf(np.diag(self.STATES["lossy_two_photon"]).astype(complex))
-        rng = np.random.default_rng(count)
-        pool = np.concatenate([cdf, np.nextafter(cdf, 2.0), [0.0, 1.0, -0.5, 1.5], rng.uniform(size=count)])
-        u = rng.choice(pool, size=count)
-        expected = np.interp(u, cdf, xs)
-        np.testing.assert_array_equal(_inverse_cdf(u.copy(), cdf, xs), expected)
 
 
 class TestQuadratureValues:
