@@ -10,6 +10,8 @@ output paths, this runs
     seed43    scripts/reproduce_figures.py --seed 43
     pipeline  end-to-end + reconstruct at the perfbench ``pipeline``
               config, seed 7
+    selection end-to-end + reconstruct at SELECTION_CONFIG, seed 7: dead
+              time 0, and many acceptance windows across field chunks
     calibrate scripts/calibrate.py point --seeds 2 --delays 0 10 30
               (default config), its report as calibrate.json
 
@@ -18,7 +20,7 @@ summaries at full precision, or calibrate's table.  It then prints the
 sha256 of every file under each run and of each stdout file, and exits 1
 on any difference that is not listed with ``--expect-diff``.  A PATH
 given there matches every file whose path ends in it
-(``end_to_end/samples.csv`` matches that file in all three runs that
+(``end_to_end/samples.csv`` matches that file in all four runs that
 write it).  For an expected CSV difference the table also counts the
 changed rows and gives the largest change per column; for an expected
 JSON file or JSON stdout difference it counts the changed values and
@@ -51,6 +53,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUT = "identity_out"
 PIPELINE_SEED = 7
+# 42.5 k pairs over 31 field chunks, with no dead time between them
+SELECTION_CONFIG = {"end_to_end_duration_s": 0.004, "dead_time_ns": 0.0, "min_pairs_per_bin": 50}
 # one heraldsim CLI call: what perfbench's worker and reproduce_figures.py do
 CLI = "import sys; from heraldsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -81,31 +85,43 @@ def _pipeline_config() -> dict:
     return WORKLOADS["pipeline"].config
 
 
-def runs(pipeline_config: Path) -> dict[str, list[list[str]]]:
-    """The commands of each run, relative to a checkout's root."""
+def write_configs(configs: Path) -> None:
+    """The config of each end-to-end run, as ``<run>.json`` in ``configs``."""
+    for name, config in (("pipeline", _pipeline_config()), ("selection", SELECTION_CONFIG)):
+        (configs / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
+
+
+def runs(configs: Path) -> dict[str, list[list[str]]]:
+    """The commands of each run, relative to a checkout's root; the
+    end-to-end runs read their configs from ``configs``."""
     py = sys.executable
-    out = f"{OUT}/pipeline"
-    common = ["--config", str(pipeline_config), "--out", out, "--seed", str(PIPELINE_SEED)]
+
+    def end_to_end(name: str) -> list[list[str]]:
+        out = f"{OUT}/{name}"
+        common = ["--config", str(configs / f"{name}.json"), "--out", out, "--seed", str(PIPELINE_SEED)]
+        return [
+            [py, "-c", CLI, "end-to-end", *common],
+            [py, "-c", CLI, "reconstruct", f"{out}/end_to_end/samples.csv", *common],
+        ]
+
     return {
         "default": [[py, "scripts/reproduce_figures.py", "--out", f"{OUT}/default"]],
         "seed43": [[py, "scripts/reproduce_figures.py", "--out", f"{OUT}/seed43", "--seed", "43"]],
-        "pipeline": [
-            [py, "-c", CLI, "end-to-end", *common],
-            [py, "-c", CLI, "reconstruct", f"{out}/end_to_end/samples.csv", *common],
-        ],
+        "pipeline": end_to_end("pipeline"),
+        "selection": end_to_end("selection"),
         # the harness that refits the sweeps through their fit path
         "calibrate": [[py, "scripts/calibrate.py", "point", "--seeds", "2", "--delays", "0", "10",
                        "30", "--json", f"{OUT}/calibrate.json"]],
     }
 
 
-def produce(checkout: Path, pipeline_config: Path) -> dict[str, str]:
+def produce(checkout: Path, configs: Path) -> dict[str, str]:
     """Run every command in ``checkout``; sha256 of each file it wrote and
     of each run's stdout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     out = checkout / OUT
     out.mkdir()
-    for name, commands in runs(pipeline_config).items():
+    for name, commands in runs(configs).items():
         print(f"== {checkout.name}: {name}", file=sys.stderr, flush=True)
         with open(out / f"{name}.stdout", "wb") as stdout:
             for argv in commands:
@@ -224,12 +240,11 @@ def main() -> int:
     args = parse_args()
     shas = {side: rev_parse(rev) for side, rev in (("base", args.base), ("head", args.head))}
     tmp = Path(tempfile.mkdtemp(prefix="check_identity-"))
-    config = tmp / "pipeline_config.json"
-    config.write_text(json.dumps(_pipeline_config(), indent=2) + "\n")
+    write_configs(tmp)
     hashes: dict[str, dict[str, str]] = {}
     try:
         for side, sha in shas.items():
-            hashes[side] = produce(export(sha, tmp / side), config)
+            hashes[side] = produce(export(sha, tmp / side), tmp)
         rows, ok = compare(hashes["base"], hashes["head"], args.expect_diff)
         print(f"base {shas['base']}\nhead {shas['head']}\n")
         print(f"{'file':<44} {'base':<12} {'head':<12} status")

@@ -11,16 +11,21 @@ circular complex Gaussian ARMA(2,1) recursion that can be continued from
 one chunk of samples to the next, drives an inhomogeneous Poisson (Cox)
 click process by thinning, and provides the pair statistics: the
 normalized delay histogram g2 and the two-detector coincidence selection
-used for heralding.
+used for heralding, which ``CoincidenceSelector`` runs on one stream fed
+chunk by chunk.
 
 ``thermal_field_chunks`` makes one field in chunks, each continuing the
 last, so that a caller can thin each chunk as it is made.  It is a
 two-stage pipeline over two chunk buffers made once: a chunk's white
 noise and MA(1) step need only the last normal of the chunk before, so a
 helper thread draws chunk k+1's while the calling thread filters chunk k
-and thins it (per 2^18-sample chunk on a 2-vCPU Xeon host: about 11 ms on
-the helper against 7 ms of scans and 4 ms of thinning on the calling
-thread; Generator fills and numpy loops release the GIL).
+and thins it.  Per 2^18-sample chunk on a 2-vCPU Xeon host, the helper
+spends about 8.4 ms in ``_innovations`` (7.6 ms of it ``standard_normal``)
+while the calling thread spends 2 x 2.6 ms in ``_scan`` and 2.5 ms in
+``sample_clicks``; Generator fills and numpy loops release the GIL.  A
+caller's own work on a chunk, such as ``end_to_end``'s coincidence
+selection (0.7-1.0 ms), runs on the calling thread too, which has only
+about 0.7 ms to spare.
 ``synthesize_thermal_field`` is its one-chunk case.
 
 For a thermal intensity the Siegert relation gives
@@ -30,7 +35,6 @@ g2(tau) = 1 + |g1(tau)|**2, so g2(0) = 2.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -411,6 +415,128 @@ def g2_histogram(stream: ClickStream, bin_width: float, max_delay: float) -> G2H
     )
 
 
+def _out_of_window(a: np.ndarray, t: np.ndarray, window: float) -> np.ndarray:
+    """For each time in ``t``, how many of the sorted times ``a`` satisfy
+    t - a > window, read as that float predicate, which holds on a prefix
+    of ``a``."""
+    count = np.searchsorted(a, t - window)
+    # t - window rounds, so the count can miss the predicate's edge by a
+    # place or two: step it up while the predicate holds at a[count], then
+    # down while it fails at a[count - 1].  In ``padded``, a between -inf
+    # and +inf, those are at count + 1 and count, and no step leaves it.
+    padded = np.concatenate([[-math.inf], a, [math.inf]])
+    while True:
+        up = t - padded[count + 1] > window
+        if not up.any():
+            break
+        count += up
+    while True:
+        down = (count > 0) & (t - padded[count] <= window)
+        if not down.any():
+            return count
+        count -= down
+
+
+def _clamp_prefix(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of every prefix composition of the clamps
+    c_k(y) = min(max(y, lower[k]), upper[k]), in place.
+
+    Two clamps compose to a clamp: c2(c1(y)) has the bounds
+    (max(l1, l2), min(max(u1, l2), u2)), an associative step, so
+    c_k(...c_0(y)) = min(max(y, lower[k]), upper[k]) on return after
+    ceil(log2(n)) doubling passes (a Hillis-Steele prefix scan; Blelloch,
+    CMU-CS-90-190, 1990).
+    """
+    step = 1
+    while step < lower.size:
+        # the upper bound reads the lower bounds before this pass
+        upper[step:] = np.minimum(np.maximum(upper[:-step], lower[step:]), upper[step:])
+        lower[step:] = np.maximum(lower[:-step], lower[step:])
+        step *= 2
+    return lower, upper
+
+
+class CoincidenceSelector:
+    """``select_coincidences`` over one click stream fed in chunks.
+
+    Each ``feed`` takes the next chunk of click times, labels each click
+    with the next uniform draw of the one generator of ``rng_seed`` (a
+    ``uniform`` drawn in pieces gives the bits of one draw) and returns the
+    pairs accepted in that chunk, so the pairs of all chunks are those of
+    the joined stream.  Between chunks it keeps only ``pending_a``, the A
+    clicks that a later B click could still take (all within ``window`` of
+    the last click), ``ready_at``, the end of the dead time, and the last
+    click time.
+
+    Within a chunk the selection runs on arrays.  The FIFO of pending A
+    clicks is a run a[f:hi] of the time-sorted A clicks, so its front f is
+    its whole state.  At the k-th B click, with hi_k A clicks before it and
+    lo_k of them beyond its window, a[max(f, lo_k)] is taken when that
+    index is below hi_k, and f <- min(max(f, lo_k) + 1, hi_k): a clamp of
+    f - k, so every front follows from one prefix scan (``_clamp_prefix``).
+    The dead time does not change which A click a B click takes, only
+    whether the pair is kept, so the kept pairs are a chain over the taken
+    ones: after the pair (t1_i, t2_i) the next one kept is the first whose
+    t1 >= t2_i + dead_time.
+    """
+
+    def __init__(self, window: float, dead_time: float = 500e-9, rng_seed: int = 0) -> None:
+        # written so that NaN fails them too
+        if not window > 0.0:
+            raise OutOfRange(f"window must be positive, got {window}")
+        if not dead_time >= 0.0:
+            raise OutOfRange(f"dead time cannot be negative, got {dead_time}")
+        self.window = float(window)
+        self.dead_time = float(dead_time)
+        self.pending_a = np.empty(0)
+        self.ready_at = -math.inf
+        self._last = -math.inf
+        self._rng = np.random.default_rng(rng_seed)
+
+    def feed(self, times: np.ndarray) -> np.ndarray:
+        """The (n, 2) pairs (t1, t2) accepted among the next chunk of click
+        times, which must be strictly increasing and later than every time
+        fed before."""
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise OutOfRange("click times must be a 1-d array")
+        if times.size and not (times[0] > self._last and np.all(np.diff(times) > 0.0)):
+            raise OutOfRange("click times must be strictly increasing, within and across chunks")
+        return self._select(times, self._rng.uniform(0.0, 1.0, size=times.size) < 0.5)
+
+    def _select(self, times: np.ndarray, is_a: np.ndarray) -> np.ndarray:
+        """``feed`` with the A labels given."""
+        a = np.concatenate([self.pending_a, times[is_a]])
+        at = np.flatnonzero(~is_a)
+        b, k = times[at], np.arange(at.size)
+        # the A clicks before the k-th B click: those before its place in
+        # the chunk, which holds k B clicks before it, and the pending ones
+        hi = self.pending_a.size + at - k
+        lo = _out_of_window(a, b, self.window)
+        # y = f - (k + 1) after the k-th B click steps as
+        # y <- min(max(y, lo_k - k), hi_k - k - 1), from y = f = 0
+        lower, upper = _clamp_prefix(lo - k, hi - k - 1)
+        front = np.minimum(np.maximum(lower, 0), upper) + k + 1
+        taken = np.maximum(np.concatenate([[0], front[:-1]]), lo)
+        popped = taken < hi
+        t1, t2 = a[taken[popped]], b[popped]
+        following = np.searchsorted(t1, t2 + self.dead_time).tolist()
+        kept = []
+        i = int(np.searchsorted(t1, self.ready_at))
+        while i < len(following):
+            kept.append(i)
+            i = following[i]
+        if kept:
+            self.ready_at = float(t2[kept[-1]]) + self.dead_time
+        if times.size:
+            self._last = float(times[-1])
+        # a later B click drops every A click beyond the window of the last
+        # click before it takes one
+        stale = int(_out_of_window(a, np.array([self._last]), self.window)[0]) if a.size else 0
+        self.pending_a = a[max(int(front[-1]) if b.size else 0, stale) :].copy()
+        return np.column_stack([t1[kept], t2[kept]])
+
+
 def select_coincidences(
     stream: ClickStream,
     window: float,
@@ -423,38 +549,13 @@ def select_coincidences(
     Consumed events are not reused.  An accepted pair arms a dead time:
     the next pair's first click must satisfy t1 >= previous t2 + dead_time
     (both clicks of a blocked pair are discarded, as by a busy scope).
-    Labeling is the only randomness; deterministic for a fixed seed.
+    Labeling is the only randomness; deterministic for a fixed seed.  The
+    one-chunk case of ``CoincidenceSelector``.
 
-    Returns an (n, 2) array of (t1, t2) rows, t2 - t1 >= 0; shape (0, 2)
+    Returns an (n, 2) array of (t1, t2) rows, t2 - t1 > 0; shape (0, 2)
     when no pair is accepted.
     """
-    # written so that NaN fails them too
-    if not window > 0.0:
-        raise OutOfRange(f"window must be positive, got {window}")
-    if not dead_time >= 0.0:
-        raise OutOfRange(f"dead time cannot be negative, got {dead_time}")
-    rng = np.random.default_rng(rng_seed)
-    times = stream.times
-    is_a = rng.uniform(0.0, 1.0, size=times.size) < 0.5
-    pairs: list[tuple[float, float]] = []
-    pending_a: deque[float] = deque()
-    ready_at = -math.inf
-    # Python floats: the loop visits every click, and numpy scalars cost
-    # more per step than the arithmetic they carry
-    for t, a_label in zip(times.tolist(), is_a.tolist()):
-        if a_label:
-            pending_a.append(t)
-            continue
-        # drop A clicks whose next B (this one) is already out of window
-        while pending_a and t - pending_a[0] > window:
-            pending_a.popleft()
-        if not pending_a:
-            continue
-        t1 = pending_a.popleft()
-        if t1 >= ready_at:
-            pairs.append((t1, t))
-            ready_at = t + dead_time
-    return np.array(pairs, dtype=float).reshape(-1, 2)
+    return CoincidenceSelector(window, dead_time, rng_seed).feed(stream.times)
 
 
 def write_g2_csv(hist: G2Histogram, path: str, gamma: float | None = None) -> None:

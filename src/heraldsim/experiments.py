@@ -15,9 +15,13 @@ run_fock_panels     reconstructed distributions in four analysis modes
 end_to_end          clicks -> pairs -> adapted-mode quadratures -> tomography
 reconstruct_samples tomography of an existing quadrature CSV
 
-``run_g2`` and ``end_to_end`` get their clicks from one helper,
-``_click_stream``, which thins each chunk of one trigger field from
-``clicks.thermal_field_chunks`` as it is made.
+``run_g2`` and ``end_to_end`` get their clicks from one generator,
+``_click_chunks``, which thins each chunk of one trigger field from
+``clicks.thermal_field_chunks`` as it is made and yields its click times.
+``end_to_end`` feeds each chunk to a ``clicks.CoincidenceSelector`` on
+the calling thread as it arrives, so it holds pairs, never the whole
+run's clicks; ``run_g2`` histograms the clicks that ``_click_stream``
+joins into one stream.
 
 The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
 delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
@@ -46,7 +50,7 @@ import platform
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -54,9 +58,9 @@ from . import __version__
 from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mode_distribution, g2_closed_form
 from .clicks import (
     ClickStream,
+    CoincidenceSelector,
     g2_histogram,
     sample_clicks,
-    select_coincidences,
     thermal_field_chunks,
     write_g2_csv,
 )
@@ -92,8 +96,9 @@ FIELD_CHUNK_SAMPLES = 2**18
 # exhaust memory or raise a bare ValueError deep in a driver.
 MAX_ARRAY_LENGTH = 10**6
 # Most clicks a config may expect, g2_n_events or mean_rate_hz *
-# end_to_end_duration_s: their times are held in memory, twice while they
-# are joined (the defaults expect 1e6 and 4e6).
+# end_to_end_duration_s (the defaults expect 1e6 and 4e6).  g2 holds its
+# clicks' times in memory, twice while they are joined; end-to-end holds
+# only its pairs.
 MAX_CLICKS = 10**8
 # Largest gap the mode grid may leave between the discrete trigger overlap
 # and ``overlap_closed_form``: as |dF+/dI| <= 1, P2 then moves by at most
@@ -276,6 +281,27 @@ class _DelayScene:
     analytic: dict[str, PhotonDistribution]
 
 
+def _trigger_modes(config: ExperimentConfig, delta_t: float) -> tuple[ModeFunction, ModeFunction, float]:
+    """The trigger modes g1 and g2 at herald delay ``delta_t``, centred on
+    the config's grid, and their overlap (g2 is g1 at zero delay).  A grid
+    that puts the overlap beyond MAX_OVERLAP_GAP of ``overlap_closed_form``
+    raises ResolutionTooCoarse."""
+    grid = config.grid()
+    center = 0.5 * (config.grid_window_ns * 1e-9)
+    g1 = make_trigger_mode(center - 0.5 * delta_t, config.gamma_hz, grid)
+    if delta_t == 0.0:
+        return g1, g1, 1.0
+    g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
+    ov = overlap(g1, g2)
+    gap = abs(ov - overlap_closed_form(delta_t, config.gamma_hz))
+    if not gap <= MAX_OVERLAP_GAP:
+        raise ResolutionTooCoarse(
+            f"grid_dt_ns {config.grid_dt_ns} puts the trigger-mode overlap at {delta_t * 1e9:g} ns "
+            f"delay {gap:.2e} from its closed form, beyond {MAX_OVERLAP_GAP:g}; use a finer grid"
+        )
+    return g1, g2, ov
+
+
 def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     """Analysis modes, lossy state and closed forms at one herald delay.
 
@@ -285,28 +311,17 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     the fixed-mode distribution for g1 and g2, diag(F-, 0, F+) for f1 and
     diag(F+, 0, F-) for f2, each through binomial loss.  At zero delay the
     triggers coincide: the state is a two-photon Fock state in the single
-    mode g1 = g2 = f1, and there is no f2.  A grid that puts the overlap of
-    g1 and g2 beyond MAX_OVERLAP_GAP of its closed form raises
-    ResolutionTooCoarse.
+    mode g1 = g2 = f1, and there is no f2.  The trigger modes come from
+    ``_trigger_modes``, which checks the grid.
     """
-    grid = config.grid()
-    center = 0.5 * (config.grid_window_ns * 1e-9)
-    g1 = make_trigger_mode(center - 0.5 * delta_t, config.gamma_hz, grid)
+    g1, g2, ov = _trigger_modes(config, delta_t)
     if delta_t == 0.0:
         modes = {"g1": g1, "g2": g1, "f1": g1}
-        basis, ov = [g1], 1.0
+        basis = [g1]
     else:
-        g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
-        ov = overlap(g1, g2)
-        gap = abs(ov - overlap_closed_form(delta_t, config.gamma_hz))
-        if not gap <= MAX_OVERLAP_GAP:
-            raise ResolutionTooCoarse(
-                f"grid_dt_ns {config.grid_dt_ns} puts the trigger-mode overlap at {delta_t * 1e9:g} ns "
-                f"delay {gap:.2e} from its closed form, beyond {MAX_OVERLAP_GAP:g}; use a finer grid"
-            )
         f1, f2 = make_symmetric_antisymmetric(g1, g2)
         modes = {"g1": g1, "g2": g2, "f1": f1, "f2": f2}
-        basis = extend_orthonormal_basis([g1, g2], grid, 2)
+        basis = extend_orthonormal_basis([g1, g2], config.grid(), 2)
     register = ModeRegister(modes=tuple(basis))
     state = apply_loss_channel(build_heralded_state(register, g1, modes["g2"]), config.eta)
     fixed = apply_loss(fixed_mode_distribution(ov), config.eta)
@@ -319,14 +334,18 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     return _DelayScene(state, modes, {name: analytic[name] for name in modes})
 
 
-def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
-    """Trigger-beam clicks over ``duration`` seconds: (stream, chunks, spare seed).
+def _click_chunks(config: ExperimentConfig, duration: float) -> tuple[Iterator[np.ndarray], int, float, int]:
+    """Trigger-beam clicks over ``duration`` seconds, chunk by chunk:
+    (click times per chunk, chunks, duration, spare seed).
 
     One field of n samples is made by ``thermal_field_chunks`` in
     ceil(n / FIELD_CHUNK_SAMPLES) even chunks, and each chunk is thinned
-    by ``sample_clicks`` on this thread before the next is filtered.  The
-    result is bit-identical to calling ``synthesize_thermal_field`` and
-    then ``sample_clicks`` per chunk with the same seeds.  The spare seed
+    by ``sample_clicks`` on the calling thread before the next is
+    filtered.  The generator yields each chunk's click times, offset to
+    the chunk's start, while the helper thread draws the next chunk's
+    noise.  The times are bit-identical to calling
+    ``synthesize_thermal_field`` and then ``sample_clicks`` per chunk with
+    the same seeds.  The duration is the whole field's; the spare seed
     feeds the caller's next random step.
     """
     dt_field = config.field_dt_ns * 1e-9
@@ -337,18 +356,23 @@ def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStrea
     # 2k: field, 2k + 1: thinning; seeds are a prefix-stable sequence, so
     # the spare last seed leaves the chunk seeds unchanged
     seeds = _derive_seeds(config.rng_seed, 2 * n_chunks + 1)
-    fields = thermal_field_chunks(config.gamma_hz, dt_field, np.diff(bounds).tolist(), seeds[:-1:2])
-    times = []
-    with contextlib.closing(fields):
-        for k, field in enumerate(fields):
-            clicks = sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1])
-            times.append(clicks.times + bounds[k] * dt_field)
-    # free the field before the click times are joined, which copies them twice
-    del field
-    stream = ClickStream(
-        times=np.concatenate(times), duration=n_samples * dt_field, mean_rate=config.mean_rate_hz
-    )
-    return stream, n_chunks, seeds[-1]
+
+    def chunks() -> Iterator[np.ndarray]:
+        fields = thermal_field_chunks(config.gamma_hz, dt_field, np.diff(bounds).tolist(), seeds[:-1:2])
+        with contextlib.closing(fields):
+            for k, field in enumerate(fields):
+                clicks = sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1])
+                yield clicks.times + bounds[k] * dt_field
+
+    return chunks(), n_chunks, n_samples * dt_field, seeds[-1]
+
+
+def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
+    """``_click_chunks`` joined into one stream: (stream, chunks, spare seed).
+    The field is freed before the times are joined, which copies them twice."""
+    chunks, n_chunks, duration, spare = _click_chunks(config, duration)
+    stream = ClickStream(times=np.concatenate(list(chunks)), duration=duration, mean_rate=config.mean_rate_hz)
+    return stream, n_chunks, spare
 
 
 def _fit_states(config: ExperimentConfig, rhos: list[np.ndarray], seeds: list[int]) -> list[list[MLResult]]:
@@ -510,30 +534,39 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     and its (x, theta) are drawn from the state reduced to f1, as a sweep
     point's are.  Bins holding fewer than ``min_pairs_per_bin`` pairs are
     skipped with a warning; if every bin is skipped, InsufficientPairs is
-    raised.  Writes samples.csv (x, theta_rad, delta_t_ns) and report.json.
+    raised.  The mode grid is checked at every bin center before the first
+    click is made.  Writes samples.csv (x, theta_rad, delta_t_ns) and
+    report.json.
     """
-    stream, _, pair_seed = _click_stream(config, config.end_to_end_duration_s)
-    pairs = select_coincidences(
-        stream,
+    bin_width = config.delta_t_bin_ns * 1e-9
+    n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
+    edges = bin_width * np.arange(n_bins + 1)
+    centers_ns = [(edges[b] + 0.5 * bin_width) * 1e9 for b in range(n_bins)]
+    for center_ns in centers_ns:
+        _trigger_modes(config, center_ns * 1e-9)
+    chunks, _, duration, pair_seed = _click_chunks(config, config.end_to_end_duration_s)
+    selector = CoincidenceSelector(
         window=config.acceptance_window_ns * 1e-9,
         dead_time=config.dead_time_ns * 1e-9,
         rng_seed=pair_seed,
     )
+    n_clicks, pairs = 0, []
+    with contextlib.closing(chunks):
+        for times in chunks:
+            n_clicks += times.size
+            pairs.append(selector.feed(times))
+    pairs = np.concatenate(pairs)
     if not len(pairs):
         raise InsufficientPairs("no coincidence pairs selected")
     delays = pairs[:, 1] - pairs[:, 0]
-    bin_width = config.delta_t_bin_ns * 1e-9
-    n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
-    edges = bin_width * np.arange(n_bins + 1)
     which = np.clip(np.searchsorted(edges, delays, side="right") - 1, 0, n_bins - 1)
     bin_seeds = _sample_seeds(pair_seed ^ 0xE2E, n_bins)
     bins_report = []
     # per reconstructed bin: its (x, theta) in draw order, for samples.csv
     # beside its pairs' delays, and its pairs, report entry and closed form
     samples, fitted = [], []
-    for b in range(n_bins):
+    for b, center_ns in enumerate(centers_ns):
         idx = np.flatnonzero(which == b)
-        center_ns = (edges[b] + 0.5 * bin_width) * 1e9
         entry = {
             "delta_t_bin_center_ns": center_ns,
             "n_pairs": int(idx.size),
@@ -571,11 +604,11 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         header="x,theta_rad,delta_t_ns", comments="",
     )
     report = {
-        "n_clicks": int(len(stream)),
+        "n_clicks": n_clicks,
         "n_pairs": int(len(pairs)),
         "n_bins": n_bins,
         "n_bins_reconstructed": len(samples),
-        "duration_s": stream.duration,
+        "duration_s": duration,
         "bins": bins_report,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")

@@ -8,6 +8,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from heraldsim.experiments import load_config
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_identity.py"
 spec = importlib.util.spec_from_file_location("check_identity", SCRIPT)
 check_identity = importlib.util.module_from_spec(spec)
@@ -93,11 +95,11 @@ def test_produce_hashes_each_runs_stdout(tmp_path, monkeypatch):
     # the two commands of one run share one stdout file, kept next to the
     # files the run writes
     write = "import pathlib; p = pathlib.Path('identity_out/a'); p.mkdir(); (p / 'f.txt').write_text('f')"
-    monkeypatch.setattr(check_identity, "runs", lambda config: {
+    monkeypatch.setattr(check_identity, "runs", lambda configs: {
         "a": [[sys.executable, "-c", write], [sys.executable, "-c", "print(0.1 + 0.2)"]],
         "b": [[sys.executable, "-c", "print('{}')"]],
     })
-    assert check_identity.produce(tmp_path, tmp_path / "config.json") == {
+    assert check_identity.produce(tmp_path, tmp_path) == {
         "a/f.txt": sha("f"),
         "a.stdout": sha("0.30000000000000004\n"),
         "b.stdout": sha("{}\n"),
@@ -139,10 +141,24 @@ def test_calibrate_run_writes_its_report(tmp_path, monkeypatch):
     root = check_identity.ROOT
     for name in ("scripts", "src"):
         (tmp_path / name).symlink_to(root / name)
-    calibrate = check_identity.runs(tmp_path / "config.json")["calibrate"]
-    monkeypatch.setattr(check_identity, "runs", lambda config: {"calibrate": calibrate})
-    hashes = check_identity.produce(tmp_path, tmp_path / "config.json")
+    calibrate = check_identity.runs(tmp_path)["calibrate"]
+    monkeypatch.setattr(check_identity, "runs", lambda configs: {"calibrate": calibrate})
+    hashes = check_identity.produce(tmp_path, tmp_path)
     assert set(hashes) == {"calibrate.json", "calibrate.stdout"}
     report = json.loads((tmp_path / check_identity.OUT / "calibrate.json").read_text())
     assert report["seeds"] == [0, 1]
     assert [p["delta_t_ns"] for p in report["points"]["f1"]] == [0.0, 10.0, 30.0]
+
+
+def test_end_to_end_runs_read_their_configs(tmp_path):
+    # pipeline and selection each run end-to-end, then reconstruct its
+    # samples, at a config file that load_config accepts
+    check_identity.write_configs(tmp_path)
+    commands = check_identity.runs(tmp_path)
+    for name in ("pipeline", "selection"):
+        (end_to_end, reconstruct) = commands[name]
+        assert end_to_end[3] == "end-to-end" and reconstruct[3] == "reconstruct"
+        config = end_to_end[end_to_end.index("--config") + 1]
+        assert config == str(tmp_path / f"{name}.json")
+        load_config(config)
+    assert load_config(tmp_path / "selection.json").dead_time_ns == 0.0

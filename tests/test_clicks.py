@@ -8,15 +8,19 @@ the Siegert relation, g2 = 1 + |g1|**2.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from heraldsim.analytic import g2_closed_form
 from heraldsim.clicks import (
     _SLAB,
     ClickStream,
+    CoincidenceSelector,
     _complex_normals,
     _field_recursion,
     _stationary_covariance,
@@ -319,7 +323,7 @@ class TestSelectCoincidences:
         assert pairs.ndim == 2 and pairs.shape[1] == 2
         assert len(pairs) > 100
         t1, t2 = pairs[:, 0], pairs[:, 1]
-        assert np.all((t2 - t1 >= 0.0) & (t2 - t1 <= window))
+        assert np.all((t2 - t1 > 0.0) & (t2 - t1 <= window))
         assert np.all(t1[1:] >= t2[:-1] + dead)
 
     def test_deterministic(self):
@@ -358,6 +362,108 @@ class TestSelectCoincidences:
         ratio = near / far
         sigma = ratio * math.sqrt(1.0 / near + 1.0 / far)
         assert abs(ratio - expected) < 4.0 * sigma + 0.05 * expected
+
+
+def reference_pairs(times: np.ndarray, is_a: np.ndarray, window: float, dead_time: float) -> np.ndarray:
+    """Coincidence selection as a per-click loop over a FIFO of pending A
+    clicks: the rule ``CoincidenceSelector`` runs on arrays."""
+    pairs: list[tuple[float, float]] = []
+    pending_a: deque[float] = deque()
+    ready_at = -math.inf
+    for t, a_label in zip(times.tolist(), is_a.tolist()):
+        if a_label:
+            pending_a.append(t)
+            continue
+        # drop A clicks whose next B (this one) is already out of window
+        while pending_a and t - pending_a[0] > window:
+            pending_a.popleft()
+        if not pending_a:
+            continue
+        t1 = pending_a.popleft()
+        if t1 >= ready_at:
+            pairs.append((t1, t))
+            ready_at = t + dead_time
+    return np.array(pairs, dtype=float).reshape(-1, 2)
+
+
+def drawn_labels(n: int, rng_seed: int) -> np.ndarray:
+    """The A labels ``select_coincidences`` draws for n clicks."""
+    return np.random.default_rng(rng_seed).uniform(0.0, 1.0, size=n) < 0.5
+
+
+@st.composite
+def labelled_streams(draw):
+    """(times, A labels, chunk bounds, window, dead time) on a grid of
+    ``scale`` steps, so that t - a == window occurs exactly (scale 1) and
+    within rounding of it (the other scales, and the offset that coarsens
+    the float spacing as real click times do)."""
+    scale = draw(st.sampled_from([1.0, 0.1, 0.3, 1e-9]))
+    offset = draw(st.sampled_from([0.0, 0.08]))
+    gaps = draw(st.lists(st.integers(1, 6), max_size=80))
+    times = offset + np.cumsum(np.array(gaps, dtype=np.int64)) * scale
+    n = times.size
+    labels = draw(st.one_of(
+        st.just([True] * n), st.just([False] * n), st.lists(st.booleans(), min_size=n, max_size=n),
+    ))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    window = draw(st.one_of(st.integers(1, 12).map(lambda w: w * scale), st.just(math.inf)))
+    dead_time = draw(st.one_of(st.integers(0, 12).map(lambda d: d * scale), st.just(math.inf)))
+    return times, np.array(labels, dtype=bool), [0, *cuts, n], window, dead_time
+
+
+class TestCoincidenceSelector:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(labelled_streams(), st.integers(0, 2**32))
+    def test_chunks_match_the_reference_loop(self, case, rng_seed):
+        times, is_a, bounds, window, dead_time = case
+        want = reference_pairs(times, is_a, window, dead_time)
+        chunks = list(zip(bounds[:-1], bounds[1:]))
+        # the labels given, chunk by chunk
+        selector = CoincidenceSelector(window, dead_time)
+        got = [selector._select(times[lo:hi], is_a[lo:hi]) for lo, hi in chunks]
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        # the labels drawn, chunk by chunk and in one chunk
+        want = reference_pairs(times, drawn_labels(times.size, rng_seed), window, dead_time)
+        selector = CoincidenceSelector(window, dead_time, rng_seed)
+        got = [selector.feed(times[lo:hi]) for lo, hi in chunks]
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        stream = ClickStream(times=times, duration=times[-1] + 1.0 if times.size else 1.0, mean_rate=1.0)
+        one = select_coincidences(stream, window, dead_time, rng_seed)
+        assert one.shape == want.shape and one.tobytes() == want.tobytes()
+
+    def test_thermal_stream_in_chunks_matches_the_reference_loop(self):
+        # long runs of pending A clicks, windows across chunk bounds, and
+        # the default window and dead time at real click times
+        field = synthesize_thermal_field(GAMMA, 1e-3, DT_FIELD, rng_seed=120)
+        times = sample_clicks(field, 5e7, rng_seed=121).times
+        for window, dead_time in [(65e-9, 500e-9), (65e-9, 0.0), (1e-6, 0.0)]:
+            want = reference_pairs(times, drawn_labels(times.size, 122), window, dead_time)
+            selector = CoincidenceSelector(window, dead_time, 122)
+            got = [selector.feed(chunk) for chunk in np.array_split(times, 37)]
+            assert len(want) > 100
+            assert np.concatenate(got).tobytes() == want.tobytes()
+
+    def test_pending_clicks_stay_within_one_window(self):
+        # the state carried between chunks does not grow with the stream:
+        # the pending A clicks lie within one window of the last click
+        stream = poisson_stream(5e7, 2e-3, seed=123)
+        window = 65e-9
+        selector = CoincidenceSelector(window, 500e-9, rng_seed=124)
+        fed = 0
+        for chunk in np.array_split(stream.times, 50):
+            selector.feed(chunk)
+            fed += chunk.size
+            last = stream.times[fed - 1]
+            in_window = np.sum(last - stream.times[:fed] <= window)
+            assert selector.pending_a.size < in_window + 1
+            assert np.all(last - selector.pending_a <= window)
+
+    def test_unordered_chunks_rejected(self):
+        selector = CoincidenceSelector(65e-9)
+        selector.feed(np.array([1e-6, 2e-6]))
+        for bad in (np.array([2e-6, 3e-6]), np.array([3e-6, 3e-6]), np.array([[3e-6]]), np.array([math.nan])):
+            with pytest.raises(OutOfRange):
+                selector.feed(bad)
 
 
 class TestStreamValidation:

@@ -661,6 +661,36 @@ class TestEndToEnd:
             with pytest.raises(InsufficientPairs):
                 end_to_end(sparse, tmp_path)
 
+    def test_coarse_mode_grid_fails_before_any_click(self, tmp_path, monkeypatch):
+        # every bin center is checked first, skipped bins included
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field chunk was asked for")
+
+        monkeypatch.setattr(experiments, "thermal_field_chunks", no_field)
+        with pytest.raises(ResolutionTooCoarse):
+            end_to_end(ExperimentConfig(grid_dt_ns=6, grid_window_ns=600), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_peak_memory_follows_pairs_not_clicks(self, tmp_path, monkeypatch):
+        # the clicks are selected chunk by chunk, so a six times longer run
+        # adds only pair-sized arrays, about one pair per 30 clicks (the
+        # whole run's clicks cost about 48 B each).  Small field chunks keep
+        # the two field buffers from hiding the clicks; the run stops at its
+        # delay bins, as all that follows is per pair.
+        monkeypatch.setattr(experiments, "FIELD_CHUNK_SAMPLES", 2**16)
+        peaks, clicks = [], []
+        for duration in (1e-3, 6e-3):
+            config = dataclasses.replace(E2E_CFG, end_to_end_duration_s=duration, min_pairs_per_bin=10**6)
+            tracemalloc.start()
+            try:
+                with pytest.raises(InsufficientPairs):
+                    end_to_end(config, tmp_path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            clicks.append(config.mean_rate_hz * duration)  # expected
+        assert peaks[1] - peaks[0] <= 16 * (clicks[1] - clicks[0])
+
 
 class TestReconstructSamples:
     def test_payload_and_file(self, tmp_path):
