@@ -23,9 +23,9 @@ and thins it.  Per 2^18-sample chunk on a 2-vCPU Xeon host, the helper
 spends about 8.4 ms in ``_innovations`` (7.6 ms of it ``standard_normal``)
 while the calling thread spends 2 x 2.6 ms in ``_scan`` and 2.5 ms in
 ``sample_clicks``; Generator fills and numpy loops release the GIL.  A
-caller's own work on a chunk, such as ``end_to_end``'s coincidence
-selection (0.7-1.0 ms), runs on the calling thread too, which has only
-about 0.7 ms to spare.
+caller's own work on a chunk runs on the calling thread too, which has
+only about 0.7 ms to spare: ``end_to_end``'s coincidence selection takes
+0.7-0.8 ms alone and about 1.2 ms beside the helper.
 ``synthesize_thermal_field`` is its one-chunk case.
 
 For a thermal intensity the Siegert relation gives
