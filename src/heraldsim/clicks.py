@@ -49,7 +49,7 @@ from .errors import (
     RateTooHigh,
     ResolutionTooCoarse,
 )
-from .modes import TimeGrid
+from .modes import TimeGrid, write_csv
 
 # Click-rate validity: intensity must be resolved on the field grid.
 MAX_RATE_DT = 0.1
@@ -565,6 +565,4 @@ def write_g2_csv(hist: G2Histogram, path: str, gamma: float | None = None) -> No
     if gamma is not None:
         columns.append(g2_closed_form(hist.bin_centers, gamma))
         header = "delay_ns,g2_empirical,g2_theory"
-    np.savetxt(
-        path, np.column_stack(columns), fmt="%.12g", delimiter=",", header=header, comments=""
-    )
+    write_csv(path, np.column_stack(columns), header)

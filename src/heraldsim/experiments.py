@@ -82,6 +82,7 @@ from .modes import (
     make_trigger_mode,
     overlap,
     overlap_closed_form,
+    write_csv,
     write_mode_csv,
 )
 from .tomo import MLConfig, MLResult, ml_diagonal, ml_diagonal_batch
@@ -418,9 +419,8 @@ def _sweep(
     for delta_ns, closed, result in zip(config.delays_ns, analytic, results):
         per_n = [(closed.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
         table.append([delta_ns, *(value for triple in per_n for value in triple)])
-    header = ",".join(columns)
     out = _prepare_out_dir(config, out_dir, name)
-    np.savetxt(out / f"{name}.csv", table, fmt="%.12g", delimiter=",", header=header, comments="")
+    write_csv(out / f"{name}.csv", table, ",".join(columns))
     write_manifest(config, out, name, [f"{name}.csv"])
     return [dict(zip(columns, row)) for row in table]
 
@@ -495,8 +495,8 @@ def run_fock_panels(
     the mode shape for plotting.  The delay is t2 - t1 and may not be
     negative: g1 names the earlier trigger.
     """
-    if delta_t_ns < 0.0:
-        raise OutOfRange(f"panel delay must be non-negative, got {delta_t_ns} ns")
+    if not 0.0 <= delta_t_ns < math.inf:  # NaN fails this too
+        raise OutOfRange(f"panel delay must be finite and non-negative, got {delta_t_ns} ns")
     scene = _build_scene(config, delta_t_ns * 1e-9)
     if "f2" not in scene.modes:
         raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
@@ -599,10 +599,7 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
     rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(samples, fitted)]
     out = _prepare_out_dir(config, out_dir, "end_to_end")
-    np.savetxt(
-        out / "samples.csv", np.concatenate(rows), fmt="%.12g", delimiter=",",
-        header="x,theta_rad,delta_t_ns", comments="",
-    )
+    write_csv(out / "samples.csv", np.concatenate(rows), "x,theta_rad,delta_t_ns")
     report = {
         "n_clicks": n_clicks,
         "n_pairs": int(len(pairs)),

@@ -15,7 +15,11 @@ heralded pair state has.  Either sampler raises InvalidDensity for any
 other state.  ``sample_quadratures`` keeps each x in draw order beside
 its theta; ``quadrature_values`` gives the same x values without their
 phases, in the order of their sorted uniforms, which is all a histogram
-needs.  Both take their checks, CDF and stream from ``_quadrature_draw``.
+needs.  Both take their checks, CDF and generator from
+``_quadrature_draw``, which sums the state's weights over |psi_n|**2
+tables on the fixed CDF nodes, each built on first use and kept.
+``quadrature_values`` jumps the generator past the theta block that
+``sample_quadratures`` draws first, so it draws the same uniforms.
 
 Trace synthesis emulates a continuous homodyne record: white vacuum noise
 with per-sample standard deviation sqrt(1/(2*dt)) whose components along
@@ -29,8 +33,8 @@ state reduced to that mode, which the drivers sample directly.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -84,12 +88,22 @@ def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
     return out
 
 
-def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[Iterator, np.ndarray, np.ndarray]:
-    """Checks and stream of a 1-d quadrature draw: (stream, cdf, nodes), with
-    x = interp(u, cdf, nodes).  ``stream`` draws ``count`` thetas, then
-    ``count`` uniforms u, from ``rng_seed`` as each is asked for, so theta can
-    be freed before u is drawn.  Every reduction of a heralded pair state to
-    one mode is diagonal; a coherence of 1e-12 or more raises InvalidDensity."""
+@functools.cache
+def _node_pdf(n: int) -> np.ndarray:
+    """``fock_quadrature_pdf(n, nodes)`` on the GRID_1D CDF nodes, read-only.
+    Built on first use and kept: one 128 KiB table per n <= MAX_FOCK."""
+    pdf = fock_quadrature_pdf(n, np.linspace(-X_MAX, X_MAX, GRID_1D))
+    pdf.flags.writeable = False
+    return pdf
+
+
+def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """Checks and generator of a 1-d quadrature draw: (rng, cdf, nodes), with
+    x = interp(u, cdf, nodes) for uniforms u on [0, 1) drawn from ``rng``
+    after ``count`` thetas.  The pdf on the nodes is ``mixture_pdf`` of the
+    state, bit for bit: the same tables summed in the same n order.  Every
+    reduction of a heralded pair state to one mode is diagonal; a
+    coherence of 1e-12 or more raises InvalidDensity."""
     if count <= 0:
         raise EmptyInput(f"sample count must be positive, got {count}")
     rho = np.asarray(rho, dtype=complex)
@@ -103,11 +117,13 @@ def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[Iterat
             "the quadrature sampler needs a Fock-diagonal density"
         )
     xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
-    pdf = mixture_pdf(photon_distribution(rho), xs)
+    pdf = np.zeros(GRID_1D)
+    for n, p in enumerate(photon_distribution(rho).probs):
+        if p > 0.0:
+            pdf += p * _node_pdf(n)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])
     cdf /= cdf[-1]
-    rng = np.random.default_rng(rng_seed)
-    return (rng.uniform(0.0, high, size=count) for high in (2.0 * math.pi, 1.0)), cdf, xs
+    return np.random.default_rng(rng_seed), cdf, xs
 
 
 def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
@@ -122,23 +138,28 @@ def sample_quadratures(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray
     Returns an array of shape (count, 2) with columns (x, theta).
     Deterministic for a fixed seed.
     """
-    (theta, u), cdf, xs = _quadrature_draw(rho, count, rng_seed)
-    return np.column_stack([np.interp(u, cdf, xs), theta])
+    rng, cdf, xs = _quadrature_draw(rho, count, rng_seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    return np.column_stack([np.interp(rng.uniform(0.0, 1.0, size=count), cdf, xs), theta])
 
 
 def quadrature_values(rho: np.ndarray, count: int, rng_seed: int) -> np.ndarray:
     """The x values of ``sample_quadratures(rho, count, rng_seed)`` in the
-    order of their sorted uniforms, not in draw order.
+    order of their sorted uniforms, not in draw order, so non-decreasing
+    up to rounding at the nodes.
 
-    The same stream goes through the same lookup, whose segment and slope
-    for a query do not depend on the order of the queries, so the values
-    are those of ``sample_quadratures(...)[:, 0]`` bit for bit, as a
-    multiset.  For a fit, which only histograms them, the sorted lookup is
-    faster.  Raises as ``sample_quadratures`` does.
+    The generator is advanced past the ``count`` thetas without drawing
+    them, and the uniforms after them go through the same lookup, whose
+    segment and slope for a query do not depend on the order of the
+    queries.  So the values are those of ``sample_quadratures(...)[:, 0]``
+    bit for bit, as a multiset.  For a fit, which only histograms them,
+    this is faster.  Raises as ``sample_quadratures`` does.
     """
-    stream, cdf, xs = _quadrature_draw(rho, count, rng_seed)
-    next(stream)  # theta, freed before u is drawn
-    u = next(stream)
+    rng, cdf, xs = _quadrature_draw(rho, count, rng_seed)
+    # Generator.uniform takes exactly one 64-bit PCG64 output per float64,
+    # so advancing by count lands where drawing the thetas would
+    rng.bit_generator.advance(count)
+    u = rng.uniform(0.0, 1.0, size=count)
     u.sort()
     return np.interp(u, cdf, xs)
 

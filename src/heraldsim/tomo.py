@@ -17,10 +17,11 @@ Each row stops on its own relative log-likelihood change; a stopped row
 leaves the batch, so its result is the one a single-row run would give.
 ``ml_diagonal_batch`` bins every sample set of a driver run against one
 POVM and fits all their histograms in one such batch; ``ml_diagonal`` is
-its case of one set.  A set is binned by sorting it and searching for the
-bin edges, so its order does not matter.  The phases are not needed: the
-heralded states are Fock-diagonal, so the photon-number distribution is
-all there is to reconstruct.
+its case of one set.  A set is binned by searching its values, in
+non-decreasing order, for the bin edges; a set not already in that order
+is sorted first, so its order does not matter.  The phases are not
+needed: the heralded states are Fock-diagonal, so the photon-number
+distribution is all there is to reconstruct.
 
 The result's ``stderr`` is the observed information of the binned
 multinomial likelihood at the EM estimate, with no resampling and no RNG.
@@ -134,7 +135,9 @@ class MLResult:
 
 def _histogram(samples: np.ndarray, povm: BinnedPOVM) -> np.ndarray:
     """Bin the x column of ``samples`` (1-d x or (N, 2) rows of (x, theta))
-    on the binning of ``povm``, in any order.
+    on the binning of ``povm``, in any order.  Values already in
+    non-decreasing order, as ``quadrature_values`` nearly always gives
+    them, are not sorted again.
 
     Bin k holds edges[k] <= x < edges[k + 1]; the first and last bins also
     hold everything below and above the grid.
@@ -146,7 +149,9 @@ def _histogram(samples: np.ndarray, povm: BinnedPOVM) -> np.ndarray:
         raise EmptyInput("no quadrature samples")
     if not np.all(np.isfinite(x)):
         raise OutOfRange(f"{np.count_nonzero(~np.isfinite(x))} quadrature samples are not finite")
-    below = np.searchsorted(np.sort(x), povm.edges[1:-1], side="left")
+    if not np.all(x[1:] >= x[:-1]):
+        x = np.sort(x)
+    below = np.searchsorted(x, povm.edges[1:-1], side="left")
     return np.diff(below, prepend=0, append=x.size).astype(float)
 
 

@@ -846,11 +846,23 @@ class TestCli:
         err = self.single_error(capsys)
         assert err["type"] == "OutOfRange" and "rng_seed" in err["message"]
 
-    def test_nan_delay_error_json(self, tmp_path, capsys):
+    def test_nan_delay_error_json(self, tmp_path, capsys, monkeypatch):
+        # refused before any scene is built
+        monkeypatch.setattr(experiments, "_build_scene", None)
         rc = main(["fock-panels", "--delay-ns", "nan", "--out", str(tmp_path)])
         assert rc == 1
         err = self.single_error(capsys)
-        assert err["type"] == "MarginTooSmall"
+        assert err["type"] == "OutOfRange" and "nan ns" in err["message"]
+        assert not (tmp_path / "fock_panels").exists()
+
+    @pytest.mark.parametrize("raw", ["inf", "-inf"])
+    def test_infinite_delay_error_json(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setattr(experiments, "_build_scene", None)
+        rc = main(["fock-panels", f"--delay-ns={raw}", "--out", str(tmp_path)])
+        assert rc == 1
+        err = self.single_error(capsys)
+        assert err["type"] == "OutOfRange" and f"{float(raw)} ns" in err["message"]
+        assert not (tmp_path / "fock_panels").exists()
 
     def test_negative_panel_delay_error_json(self, tmp_path, capsys):
         # g1 names the earlier trigger; a negative delay would swap the labels

@@ -9,11 +9,16 @@ scripts/compute_reference_values.py.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import heraldsim
 from heraldsim.analytic import PhotonDistribution
 from heraldsim.errors import (
     CutoffExceeded,
@@ -25,6 +30,7 @@ from heraldsim.errors import (
 from heraldsim.fock import ModeRegister, apply_loss_channel, build_heralded_state, reduce_to_mode_pair
 from heraldsim.homodyne import (
     GRID_1D,
+    _node_pdf,
     MAX_FOCK,
     X_MAX,
     fock_quadrature_pdf,
@@ -216,6 +222,29 @@ class TestSortedLookup:
         x = np.interp(rng.uniform(0.0, 1.0, size=count), cdf, xs)
         samples = sample_quadratures(rho, count, rng_seed=31)
         np.testing.assert_array_equal(samples, np.column_stack([x, theta]))
+
+
+class TestNodeTables:
+    """The sampler's |psi_n|**2 tables on the CDF nodes: one per n, built on
+    first use, never by the import, and not writable by any caller."""
+
+    def test_built_once_per_n_and_read_only(self):
+        table = _node_pdf(3)
+        assert _node_pdf(3) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        np.testing.assert_array_equal(table, fock_quadrature_pdf(3, np.linspace(-X_MAX, X_MAX, GRID_1D)))
+
+    def test_import_builds_none(self):
+        code = "import heraldsim; from heraldsim.homodyne import _node_pdf; print(_node_pdf.cache_info().currsize)"
+        src = str(Path(heraldsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.stdout.strip() == "0"
 
 
 class TestQuadratureValues:

@@ -30,6 +30,7 @@ from heraldsim.modes import (
     make_trigger_mode,
     overlap,
     overlap_closed_form,
+    write_csv,
     write_mode_csv,
 )
 
@@ -251,3 +252,27 @@ class TestModeCsv:
         path = tmp_path / "mode.csv"
         write_mode_csv(m, str(path))
         assert path.read_text().splitlines()[0] == "t_seconds,amplitude"
+
+
+class TestWriteCsv:
+    """``write_csv`` writes the bytes of ``np.savetxt`` at the package's one
+    format, across its 4,096-row blocks and at the extremes of %.12g."""
+
+    @pytest.mark.parametrize("n_rows", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_bytes_of_savetxt(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = rng.normal(size=(n_rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(n_rows, 3))
+        extremes = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 0.1, 123456789012345.0]
+        flat = table.ravel()
+        flat[: len(extremes)] = extremes[: flat.size]
+        expected, written = tmp_path / "savetxt.csv", tmp_path / "write_csv.csv"
+        np.savetxt(expected, table, fmt="%.12g", delimiter=",", header="a,b,c", comments="")
+        write_csv(written, table, "a,b,c")
+        assert written.read_bytes() == expected.read_bytes()
+
+    def test_list_of_rows(self, tmp_path):
+        rows = [[0.0, 1.5], [-2.25, 1e-7]]
+        expected, written = tmp_path / "savetxt.csv", tmp_path / "write_csv.csv"
+        np.savetxt(expected, rows, fmt="%.12g", delimiter=",", header="x,y", comments="")
+        write_csv(written, rows, "x,y")
+        assert written.read_bytes() == expected.read_bytes()

@@ -443,9 +443,10 @@ class TestDiagonalBatch:
 
 
 class TestHistogram:
-    """``_histogram`` sorts the samples and searches them for the inner
-    edges; whatever their order, it must put every x where
-    ``searchsorted(edges, x, side="right") - 1`` does."""
+    """``_histogram`` searches the samples for the inner edges, sorting them
+    first unless they are already non-decreasing; whatever their order, it
+    must put every x where ``searchsorted(edges, x, side="right") - 1``
+    does."""
 
     @pytest.mark.parametrize("n_bins", [64, 256, 1000])
     def test_bit_equal_to_searchsorted(self, n_bins):
@@ -466,6 +467,19 @@ class TestHistogram:
         for value in x[: 3 * edges.size]:
             (k,) = np.flatnonzero(_histogram(np.array([value]), povm))
             assert k == np.searchsorted(edges, min(max(value, edges[0]), edges[-1] - 1e-12), side="right") - 1
+
+    def test_order_is_checked_not_trusted(self):
+        povm = build_povm(MLConfig().cutoff, 64)
+        x = np.sort(np.random.default_rng(5).normal(0.0, 2.0, 20_000))
+        # one adjacent pair out of order, across a bin edge, breaks only
+        # what the order check would otherwise let through
+        k = int(np.searchsorted(x, povm.edges[32]))
+        swapped = x.copy()
+        swapped[[k - 1, k]] = swapped[[k, k - 1]]
+        expected = _histogram(x, povm)
+        assert expected.sum() == x.size
+        for order in (x[::-1], swapped, np.random.default_rng(6).permutation(x)):
+            np.testing.assert_array_equal(_histogram(order, povm), expected)
 
 
 class TestMlConfig:
