@@ -30,9 +30,9 @@ from heraldsim.errors import (
 from heraldsim.fock import ModeRegister, apply_loss_channel, build_heralded_state, reduce_to_mode_pair
 from heraldsim.homodyne import (
     GRID_1D,
-    _node_pdf,
     MAX_FOCK,
     X_MAX,
+    _node_pdf,
     fock_quadrature_pdf,
     hermite_function,
     joint_sample_two_modes,
