@@ -373,16 +373,32 @@ class G2Histogram:
     plateau: float
 
 
+def g2_bin_edges(bin_width: float, max_delay: float) -> np.ndarray:
+    """Edges of ``g2_histogram``'s bins, 0 to ``max_delay`` in steps of
+    ``bin_width``.  OutOfRange unless the bins tile the range (to 1e-9
+    relative), so the last bin counts a whole bin's delays, and at least
+    one bin starts in the normalization plateau."""
+    if not 0.0 < bin_width < max_delay < math.inf:
+        raise OutOfRange("need 0 < bin_width < max_delay < inf")
+    n_bins = int(round(max_delay / bin_width))
+    if not abs(n_bins * bin_width - max_delay) <= 1e-9 * max_delay:
+        raise OutOfRange(f"g2 bins of {bin_width:g} s do not tile the {max_delay:g} s range")
+    edges = bin_width * np.arange(n_bins + 1)
+    if not np.any(edges[:-1] >= PLATEAU_FRACTION * max_delay):
+        raise OutOfRange(f"no g2 bin of {bin_width:g} s starts in the plateau of {max_delay:g} s")
+    return edges
+
+
 def g2_histogram(stream: ClickStream, bin_width: float, max_delay: float) -> G2Histogram:
     """Histogram of all ordered pair delays up to ``max_delay``, normalized
     by the mean bin content over delays in [0.8*max_delay, max_delay].
 
-    The caller must pick max_delay >= 5 correlation times so the plateau
-    is flat; the normalization region must hold enough pairs for < 2%
-    relative error, otherwise InsufficientStatistics is raised.
+    The bins are ``g2_bin_edges``.  The caller must pick max_delay >= 5
+    correlation times so the plateau is flat; the normalization region
+    must hold enough pairs for < 2% relative error, otherwise
+    InsufficientStatistics is raised.
     """
-    if not 0.0 < bin_width < max_delay < math.inf:
-        raise OutOfRange("need 0 < bin_width < max_delay < inf")
+    edges = g2_bin_edges(bin_width, max_delay)
     times = stream.times
     n = times.size
     if n < 2:
@@ -394,9 +410,7 @@ def g2_histogram(stream: ClickStream, bin_width: float, max_delay: float) -> G2H
             f"~{expected_plateau_pairs:.0f} plateau pairs expected; need >= 2500 "
             "for 2% normalization accuracy"
         )
-    n_bins = int(round(max_delay / bin_width))
-    edges = bin_width * np.arange(n_bins + 1)
-    counts = np.zeros(n_bins, dtype=np.int64)
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
     offset = 1
     while offset < n:
         delays = times[offset:] - times[:-offset]

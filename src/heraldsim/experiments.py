@@ -26,16 +26,18 @@ joins into one stream.
 The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
 delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
 at zero delay), each analysis mode and its lossy closed form.  A driver
-picks a mode by name and reduces the state to it.  Both sweeps are
-``_sweep``, whose ``_sweep_fits`` reduces a state per delay; the panels
-reduce one per mode.  Both fit them through ``_fit_states``, at any list
-of config seeds: state k draws x values from seed k of ``_sample_seeds``
-through ``quadrature_values``, out of draw order, and one
-``ml_diagonal_batch`` call keeps only each histogram.  ``end_to_end``
-draws each delay bin's (x, theta) in draw order from
-``sample_quadratures``, for samples.csv, and fits them in one batch.
+picks a mode by name and reduces the state to it: ``_reduced_states``
+does so at each delay of both sweeps and at each of ``end_to_end``'s bin
+centers, and the panels reduce one scene per mode.  The sweeps and panels
+fit through ``_fit_states``, at any list of config seeds: state k draws x
+values from seed k of ``_sample_seeds`` through ``quadrature_values``,
+out of draw order, and one ``ml_diagonal_batch`` call keeps only each
+histogram.  ``end_to_end`` draws each delay bin's (x, theta) in draw
+order from ``sample_quadratures``, for samples.csv, and fits them in one
+batch.
 
-Every driver computes all it reports before it creates its output
+Every driver checks what its config alone fixes before its first random
+draw, and computes all it reports before it creates its output
 directory, so a run that fails leaves none behind.
 """
 
@@ -59,6 +61,7 @@ from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mo
 from .clicks import (
     ClickStream,
     CoincidenceSelector,
+    g2_bin_edges,
     g2_histogram,
     sample_clicks,
     thermal_field_chunks,
@@ -282,27 +285,6 @@ class _DelayScene:
     analytic: dict[str, PhotonDistribution]
 
 
-def _trigger_modes(config: ExperimentConfig, delta_t: float) -> tuple[ModeFunction, ModeFunction, float]:
-    """The trigger modes g1 and g2 at herald delay ``delta_t``, centred on
-    the config's grid, and their overlap (g2 is g1 at zero delay).  A grid
-    that puts the overlap beyond MAX_OVERLAP_GAP of ``overlap_closed_form``
-    raises ResolutionTooCoarse."""
-    grid = config.grid()
-    center = 0.5 * (config.grid_window_ns * 1e-9)
-    g1 = make_trigger_mode(center - 0.5 * delta_t, config.gamma_hz, grid)
-    if delta_t == 0.0:
-        return g1, g1, 1.0
-    g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
-    ov = overlap(g1, g2)
-    gap = abs(ov - overlap_closed_form(delta_t, config.gamma_hz))
-    if not gap <= MAX_OVERLAP_GAP:
-        raise ResolutionTooCoarse(
-            f"grid_dt_ns {config.grid_dt_ns} puts the trigger-mode overlap at {delta_t * 1e9:g} ns "
-            f"delay {gap:.2e} from its closed form, beyond {MAX_OVERLAP_GAP:g}; use a finer grid"
-        )
-    return g1, g2, ov
-
-
 def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     """Analysis modes, lossy state and closed forms at one herald delay.
 
@@ -312,17 +294,28 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
     the fixed-mode distribution for g1 and g2, diag(F-, 0, F+) for f1 and
     diag(F+, 0, F-) for f2, each through binomial loss.  At zero delay the
     triggers coincide: the state is a two-photon Fock state in the single
-    mode g1 = g2 = f1, and there is no f2.  The trigger modes come from
-    ``_trigger_modes``, which checks the grid.
+    mode g1 = g2 = f1, and there is no f2.  A grid that puts the trigger
+    overlap beyond MAX_OVERLAP_GAP of its closed form raises ResolutionTooCoarse.
     """
-    g1, g2, ov = _trigger_modes(config, delta_t)
+    grid = config.grid()
+    center = 0.5 * (config.grid_window_ns * 1e-9)
+    g1 = make_trigger_mode(center - 0.5 * delta_t, config.gamma_hz, grid)
     if delta_t == 0.0:
+        ov = 1.0
         modes = {"g1": g1, "g2": g1, "f1": g1}
         basis = [g1]
     else:
+        g2 = make_trigger_mode(center + 0.5 * delta_t, config.gamma_hz, grid)
+        ov = overlap(g1, g2)
+        gap = abs(ov - overlap_closed_form(delta_t, config.gamma_hz))
+        if not gap <= MAX_OVERLAP_GAP:
+            raise ResolutionTooCoarse(
+                f"grid_dt_ns {config.grid_dt_ns} puts the trigger-mode overlap at {delta_t * 1e9:g} ns "
+                f"delay {gap:.2e} from its closed form, beyond {MAX_OVERLAP_GAP:g}; use a finer grid"
+            )
         f1, f2 = make_symmetric_antisymmetric(g1, g2)
         modes = {"g1": g1, "g2": g2, "f1": f1, "f2": f2}
-        basis = extend_orthonormal_basis([g1, g2], config.grid(), 2)
+        basis = extend_orthonormal_basis([g1, g2], grid, 2)
     register = ModeRegister(modes=tuple(basis))
     state = apply_loss_channel(build_heralded_state(register, g1, modes["g2"]), config.eta)
     fixed = apply_loss(fixed_mode_distribution(ov), config.eta)
@@ -388,17 +381,25 @@ def _fit_states(config: ExperimentConfig, rhos: list[np.ndarray], seeds: list[in
     return [results[k : k + len(rhos)] for k in range(0, len(results), len(rhos))]
 
 
+def _reduced_states(
+    config: ExperimentConfig, delays_ns: list[float], mode: str
+) -> tuple[list[np.ndarray], list[PhotonDistribution]]:
+    """The state reduced to analysis mode ``mode`` and its closed form at each
+    delay in ``delays_ns``, each scene built, reduced and dropped in turn."""
+    rhos, analytic = [], []
+    for delta_ns in delays_ns:
+        scene = _build_scene(config, delta_ns * 1e-9)
+        rhos.append(reduce_to_mode(scene.state, scene.modes[mode]))
+        analytic.append(scene.analytic[mode])
+    return rhos, analytic
+
+
 def _sweep_fits(
     config: ExperimentConfig, mode: str, config_seeds: list[int]
 ) -> tuple[list[PhotonDistribution], list[list[MLResult]]]:
     """The closed form of analysis mode ``mode`` at each delay and, per
-    config seed, its fit at each delay as ``_sweep`` makes it at that seed.
-    Each scene is reduced and dropped in turn."""
-    rhos, analytic = [], []
-    for delta_ns in config.delays_ns:
-        scene = _build_scene(config, delta_ns * 1e-9)
-        rhos.append(reduce_to_mode(scene.state, scene.modes[mode]))
-        analytic.append(scene.analytic[mode])
+    config seed, its fit at each delay as ``_sweep`` makes it at that seed."""
+    rhos, analytic = _reduced_states(config, config.delays_ns, mode)
     return analytic, _fit_states(config, rhos, config_seeds)
 
 
@@ -435,6 +436,7 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     Writes g2.csv (delay_ns, g2_empirical, g2_theory), summary.json, and a
     manifest.  Returns the summary dict.
     """
+    g2_bin_edges(config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)  # refused before any click
     stream, n_chunks, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
     hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)
@@ -492,14 +494,12 @@ def run_fock_panels(
 
     Per mode: panel_<name>.json holds the tomography output, the analytic
     weights, and the exact reduced density matrix; mode_<name>.csv holds
-    the mode shape for plotting.  The delay is t2 - t1 and may not be
-    negative: g1 names the earlier trigger.
+    the mode shape for plotting.  The delay is t2 - t1 and must be
+    positive: g1 names the earlier trigger, and at zero delay there is no f2.
     """
-    if not 0.0 <= delta_t_ns < math.inf:  # NaN fails this too
-        raise OutOfRange(f"panel delay must be finite and non-negative, got {delta_t_ns} ns")
+    if not 0.0 < delta_t_ns < math.inf:  # NaN fails this too
+        raise OutOfRange(f"panel delay must be finite and positive, got {delta_t_ns} ns")
     scene = _build_scene(config, delta_t_ns * 1e-9)
-    if "f2" not in scene.modes:
-        raise OutOfRange("panel run needs a nonzero delay; the mode pair is degenerate at 0")
     rhos = [reduce_to_mode(scene.state, mode) for mode in scene.modes.values()]
     (results,) = _fit_states(config, rhos, [config.rng_seed])
     out = _prepare_out_dir(config, out_dir, "fock_panels")
@@ -532,18 +532,17 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     Pairs are grouped into delay bins of width ``delta_t_bin_ns``; each
     group is simulated with the analysis modes of its bin-center delay,
     and its (x, theta) are drawn from the state reduced to f1, as a sweep
-    point's are.  Bins holding fewer than ``min_pairs_per_bin`` pairs are
-    skipped with a warning; if every bin is skipped, InsufficientPairs is
-    raised.  The mode grid is checked at every bin center before the first
-    click is made.  Writes samples.csv (x, theta_rad, delta_t_ns) and
-    report.json.
+    point's are.  Every bin's state is reduced before the first click, so a
+    bin whose scene cannot be built fails the run, skipped or not.  Bins
+    holding fewer than ``min_pairs_per_bin`` pairs are skipped with a
+    warning; if every bin is skipped, InsufficientPairs is raised.  Writes
+    samples.csv (x, theta_rad, delta_t_ns) and report.json.
     """
     bin_width = config.delta_t_bin_ns * 1e-9
     n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
     edges = bin_width * np.arange(n_bins + 1)
     centers_ns = [(edges[b] + 0.5 * bin_width) * 1e9 for b in range(n_bins)]
-    for center_ns in centers_ns:
-        _trigger_modes(config, center_ns * 1e-9)
+    rhos, analytic = _reduced_states(config, centers_ns, "f1")
     chunks, _, duration, pair_seed = _click_chunks(config, config.end_to_end_duration_s)
     selector = CoincidenceSelector(
         window=config.acceptance_window_ns * 1e-9,
@@ -582,21 +581,19 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
                 )
             entry["skipped"] = True
             continue
-        scene = _build_scene(config, center_ns * 1e-9)
-        rho = reduce_to_mode(scene.state, scene.modes["f1"])
-        samples.append(sample_quadratures(rho, idx.size, bin_seeds[b]))
-        fitted.append((idx, entry, scene.analytic["f1"]))
+        samples.append(sample_quadratures(rhos[b], idx.size, bin_seeds[b]))
+        fitted.append((idx, entry, analytic[b]))
     if not samples:
         raise InsufficientPairs(
             f"no delay bin reached {config.min_pairs_per_bin} pairs; "
             f"got {len(pairs)} pairs over {n_bins} bins"
         )
     results = ml_diagonal_batch(samples, config.ml_config())
-    for (_, entry, analytic), result in zip(fitted, results):
+    for (_, entry, closed), result in zip(fitted, results):
         entry["reconstruction"] = result.to_json_dict()
         entry["stderr"] = [float(s) for s in result.stderr]
-        entry["analytic_probs"] = [float(p) for p in analytic.probs]
-        entry["P2_pull"] = float((result.probs[2] - analytic.p(2)) / result.stderr[2])
+        entry["analytic_probs"] = [float(p) for p in closed.probs]
+        entry["P2_pull"] = float((result.probs[2] - closed.p(2)) / result.stderr[2])
     rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(samples, fitted)]
     out = _prepare_out_dir(config, out_dir, "end_to_end")
     write_csv(out / "samples.csv", np.concatenate(rows), "x,theta_rad,delta_t_ns")

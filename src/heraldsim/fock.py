@@ -14,8 +14,8 @@ sum(n) <= n_max, ordered lexicographically.  The engine supports
   orthonormal analysis pair inside it.
 
 The one-mode loss channel is the register's per-mode loss sum on the
-basis (0,), ..., (n_max,), and both reductions rotate the register so the
-analysis modes lead and trace out the rest with one helper.
+basis (0,), ..., (n_max,), and both reductions rotate the density matrix
+so the analysis modes lead and trace out the rest with one helper.
 
 Everything is dense numpy; register sizes of interest are a handful of
 modes with at most four photons, so dimensions stay below ~10^2.
@@ -321,8 +321,8 @@ def change_mode_basis(state: MultimodeState, unitary: np.ndarray) -> MultimodeSt
 def _rotate_and_trace(state: MultimodeState, rows: np.ndarray) -> np.ndarray:
     """State of the orthonormal register combinations ``rows`` (k x M).
 
-    The rows are completed to a real orthogonal matrix, the register is
-    rotated so they become its first k modes, and the other modes are
+    The rows are completed to a real orthogonal matrix, the density matrix
+    is rotated so they become its first k modes, and the other modes are
     traced out.  Output is on the kept modes' product basis, indexed by
     their occupations as a base-(n_max+1) number, e.g. (n_a, n_b) ->
     n_a*(n_max+1) + n_b.
@@ -337,8 +337,8 @@ def _rotate_and_trace(state: MultimodeState, rows: np.ndarray) -> np.ndarray:
             q[:, i] *= -1.0
     u = q.T
     u[:k] = rows  # exact leading rows, orthonormal by precondition
-    rotated = change_mode_basis(state, u)
-    rho, basis = np.asarray(rotated.rho), rotated.basis
+    transform = _transform_matrix(state.basis, state._index, u)  # type: ignore[attr-defined]
+    rho, basis = transform @ np.asarray(state.rho) @ transform.T, state.basis
     d = state.n_max + 1
     out = np.zeros((d**k, d**k), dtype=complex)
 

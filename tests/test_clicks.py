@@ -293,6 +293,19 @@ class TestG2Histogram:
             with pytest.raises(OutOfRange):
                 g2_histogram(stream, bin_width=bin_width, max_delay=max_delay)
 
+    @pytest.mark.parametrize(
+        "bin_width, max_delay",
+        [(40e-9, 60e-9), (0.7e-9, 60e-9), (30e-9, 60e-9)],
+        ids=["two_bins_past_the_range", "last_bin_past_the_range", "no_plateau_bin"],
+    )
+    def test_bins_tile_the_range_and_reach_the_plateau(self, bin_width, max_delay):
+        # a last bin that reaches past max_delay counts only part of its
+        # delays and reads low; with no bin in the plateau the normalization
+        # is the mean of nothing
+        stream = poisson_stream(5e7, 4e-3, seed=112)
+        with pytest.raises(OutOfRange):
+            g2_histogram(stream, bin_width=bin_width, max_delay=max_delay)
+
 
 class TestSelectCoincidences:
     def test_empty_stream(self):

@@ -855,7 +855,7 @@ class TestCli:
         assert err["type"] == "OutOfRange" and "nan ns" in err["message"]
         assert not (tmp_path / "fock_panels").exists()
 
-    @pytest.mark.parametrize("raw", ["inf", "-inf"])
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "0"])
     def test_infinite_delay_error_json(self, tmp_path, capsys, monkeypatch, raw):
         monkeypatch.setattr(experiments, "_build_scene", None)
         rc = main(["fock-panels", f"--delay-ns={raw}", "--out", str(tmp_path)])
@@ -869,7 +869,7 @@ class TestCli:
         rc = main(["fock-panels", "--delay-ns", "-5", "--out", str(tmp_path)])
         assert rc == 1
         err = self.single_error(capsys)
-        assert err["type"] == "OutOfRange" and "non-negative" in err["message"]
+        assert err["type"] == "OutOfRange" and "positive" in err["message"]
 
     def test_sample_count_beyond_numpy_dimensions_error_json(self, tmp_path, capsys):
         # numpy refuses this size before it allocates anything
@@ -963,6 +963,37 @@ class TestCli:
         assert rc == 1
         err = self.single_error(capsys)
         assert err["type"] == "ResolutionTooCoarse" and "overlap" in err["message"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, raw, error",
+        [
+            ("g2", '{"g2_n_events": 50000, "g2_bin_ns": 40, "g2_max_delay_ns": 60}', "OutOfRange"),
+            ("g2", '{"g2_n_events": 400000, "g2_bin_ns": 0.7}', "OutOfRange"),
+            ("sweep-delay", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse"),
+            ("sweep-fixed", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse"),
+            ("fock-panels", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse"),
+            # the first bin center, 0.005 ns, leaves no antisymmetric mode
+            (
+                "end-to-end",
+                '{"delta_t_bin_ns": 0.01, "min_pairs_per_bin": 1, "end_to_end_duration_s": 0.004}',
+                "DegenerateModes",
+            ),
+        ],
+        ids=["g2_bin_40ns", "g2_bin_0.7ns", "sweep_delay", "sweep_fixed", "fock_panels", "end_to_end"],
+    )
+    def test_config_failure_precedes_every_draw(self, tmp_path, capsys, monkeypatch, command, raw, error):
+        # what the config alone fixes is checked before the first random draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a random draw was made")
+
+        for name in ("thermal_field_chunks", "quadrature_values", "sample_quadratures"):
+            monkeypatch.setattr(experiments, name, no_draw)
+        path = tmp_path / "config.json"
+        path.write_text(raw)
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert self.single_error(capsys)["type"] == error
         assert not (tmp_path / "run").exists()
 
     def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):

@@ -389,6 +389,20 @@ class TestOracleEquivalence:
         with pytest.raises(ModesNotOrthogonal):
             reduce_to_mode_pair(state, g1, g2)
 
+    @pytest.mark.parametrize("tilt", [5e-10, 2e-9])
+    def test_pair_reduction_honours_its_orthogonality_tolerance(self, grid, tilt):
+        # overlaps up to 1e-9 are admitted and reduced; beyond it they are refused
+        g1, g2, f1, f2, state = heralded_scene(grid, 40e-9)
+        xi_b = ModeFunction(grid, f2.samples + tilt * f1.samples, normalized=True)
+        assert overlap(f1, xi_b) == pytest.approx(tilt, rel=1e-3)
+        if tilt > 1e-9:
+            with pytest.raises(ModesNotOrthogonal):
+                reduce_to_mode_pair(state, f1, xi_b)
+            return
+        np.testing.assert_allclose(
+            reduce_to_mode_pair(state, f1, xi_b), reduce_to_mode_pair(state, f1, f2), atol=1e-8
+        )
+
 
 class TestStateValidation:
     def test_multimode_state_shape_guard(self, pair40):
