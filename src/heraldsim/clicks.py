@@ -96,7 +96,6 @@ class ClickStream:
 
     times: np.ndarray = field(repr=False)
     duration: float
-    mean_rate: float
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float).view()
@@ -360,7 +359,7 @@ def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int) -> ClickSt
     times = np.sort(rng.uniform(0.0, duration, size=n_candidates))
     idx = np.minimum((times / dt).astype(np.int64), field.grid.n_samples - 1)
     keep = rng.uniform(0.0, 1.0, size=n_candidates) * peak <= mean_rate * intensity[idx]
-    return ClickStream(times=times[keep], duration=duration, mean_rate=mean_rate)
+    return ClickStream(times=times[keep], duration=duration)
 
 
 @dataclass(frozen=True)

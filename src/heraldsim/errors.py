@@ -55,10 +55,6 @@ class SpanDeficit(HeraldSimError):
     """Mode register does not span the requested wavepacket."""
 
 
-class NotUnitary(HeraldSimError):
-    """Mode-basis change matrix fails the unitarity check."""
-
-
 class CutoffExceeded(HeraldSimError):
     """Requested Fock index above the engine's truncation."""
 

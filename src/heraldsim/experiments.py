@@ -365,7 +365,7 @@ def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStrea
     """``_click_chunks`` joined into one stream: (stream, chunks, spare seed).
     The field is freed before the times are joined, which copies them twice."""
     chunks, n_chunks, duration, spare = _click_chunks(config, duration)
-    stream = ClickStream(times=np.concatenate(list(chunks)), duration=duration, mean_rate=config.mean_rate_hz)
+    stream = ClickStream(times=np.concatenate(list(chunks)), duration=duration)
     return stream, n_chunks, spare
 
 

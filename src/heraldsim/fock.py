@@ -8,7 +8,6 @@ sum(n) <= n_max, ordered lexicographically.  The engine supports
 * building the heralded state  a+[g1] a+[g2] |0>  (normalized) from the
   decomposition of the trigger wavepackets over the register,
 * per-mode binomial loss via photon-number Kraus operators,
-* passive (photon-number conserving) mode-basis changes,
 * reduction to the state of one analysis mode, including the vacuum
   admixture for any mode component outside the register span, or of an
   orthonormal analysis pair inside it.
@@ -36,7 +35,6 @@ from .errors import (
     GridMismatch,
     InvalidDensity,
     ModesNotOrthogonal,
-    NotUnitary,
     OutOfRange,
     SpanDeficit,
 )
@@ -109,20 +107,6 @@ class MultimodeState:
         return self._index[occ]  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class DecompositionCoeffs:
-    """Projections of the two trigger wavepackets onto a register.
-
-    alpha[m] = <h_m, g1>, beta[n] = <h_n, g2>.
-    ``residual1``/``residual2`` hold the L2 mass outside the span.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    residual1: float
-    residual2: float
-
-
 def check_density(rho: np.ndarray) -> None:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-8:
@@ -134,15 +118,6 @@ def check_density(rho: np.ndarray) -> None:
         raise InvalidDensity(f"negative eigenvalue {evals.min():.3e}")
 
 
-def decomposition_coeffs(register: ModeRegister, g1: ModeFunction, g2: ModeFunction) -> DecompositionCoeffs:
-    """Project both trigger wavepackets onto the register modes."""
-    alpha = np.array([overlap(h, g1) for h in register.modes])
-    beta = np.array([overlap(h, g2) for h in register.modes])
-    r1 = g1.norm_squared() - float(np.dot(alpha, alpha))
-    r2 = g2.norm_squared() - float(np.dot(beta, beta))
-    return DecompositionCoeffs(alpha=alpha, beta=beta, residual1=r1, residual2=r2)
-
-
 def build_heralded_state(
     register: ModeRegister,
     g1: ModeFunction,
@@ -151,9 +126,9 @@ def build_heralded_state(
 ) -> MultimodeState:
     """Normalized pure state  a+[g1] a+[g2] |0>  over the register.
 
-    With g_i = sum_m c_im h_m the creation-operator product expands to
-    amplitudes sqrt(2)*alpha_m*beta_m on |2_m> and
-    (alpha_m*beta_n + alpha_n*beta_m) on |1_m 1_n>.  The squared norm
+    With a_m = <h_m, g1> and b_m = <h_m, g2> the creation-operator product
+    expands to amplitudes sqrt(2)*a_m*b_m on |2_m> and
+    (a_m*b_n + a_n*b_m) on |1_m 1_n>.  The squared norm
     before normalization equals 1 + <g1,g2>**2 when both wavepackets lie
     in the span.
 
@@ -167,16 +142,18 @@ def build_heralded_state(
     """
     if n_max < 2:
         raise CutoffExceeded(f"two-photon state needs n_max >= 2, got {n_max}")
-    coeffs = decomposition_coeffs(register, g1, g2)
-    if coeffs.residual1 > SPAN_TOL or coeffs.residual2 > SPAN_TOL:
+    # r1, r2: the L2 mass of g1, g2 outside the register span
+    a = np.array([overlap(h, g1) for h in register.modes])
+    b = np.array([overlap(h, g2) for h in register.modes])
+    r1 = g1.norm_squared() - float(np.dot(a, a))
+    r2 = g2.norm_squared() - float(np.dot(b, b))
+    if r1 > SPAN_TOL or r2 > SPAN_TOL:
         raise SpanDeficit(
-            f"wavepacket mass outside register span: {coeffs.residual1:.2e}, "
-            f"{coeffs.residual2:.2e} (tolerance {SPAN_TOL:g})"
+            f"wavepacket mass outside register span: {r1:.2e}, {r2:.2e} (tolerance {SPAN_TOL:g})"
         )
     m_count = len(register)
     basis = basis_tuples(m_count, n_max)
     psi = np.zeros(len(basis), dtype=complex)
-    a, b = coeffs.alpha, coeffs.beta
     for m in range(m_count):
         occ = [0] * m_count
         occ[m] = 2
@@ -278,44 +255,6 @@ def _transform_matrix(basis: list[tuple[int, ...]], index: dict, unitary: np.nda
         for t, amp in amps.items():
             out[index[t], j] = amp * scale
     return out
-
-
-def change_mode_basis(state: MultimodeState, unitary: np.ndarray) -> MultimodeState:
-    """Rotate the register by a real orthogonal matrix.
-
-    Row m of ``unitary`` gives the new mode m as a combination of the old
-    modes; the register's mode functions are recombined accordingly and
-    the density matrix is conjugated by the induced Fock-space transform.
-    Complex rotations are not supported: register modes are real temporal
-    profiles.
-
-    Raises
-    ------
-    NotUnitary
-        If ``unitary`` is not real orthogonal within 1e-10.
-    """
-    u = np.asarray(unitary)
-    if np.iscomplexobj(u) and np.max(np.abs(u.imag)) > 1e-12:
-        raise NotUnitary("complex rotations unsupported; temporal modes are real")
-    u = u.real.astype(float)
-    m_count = len(state.register)
-    if u.shape != (m_count, m_count):
-        raise NotUnitary(f"matrix shape {u.shape}, expected {(m_count, m_count)}")
-    if np.max(np.abs(u @ u.T - np.eye(m_count))) > 1e-10:
-        raise NotUnitary("matrix fails orthogonality check at 1e-10")
-    transform = _transform_matrix(state.basis, state._index, u)  # type: ignore[attr-defined]
-    rho = transform @ np.asarray(state.rho) @ transform.T
-    grid = state.register.modes[0].grid
-    old = np.stack([m.samples for m in state.register.modes])
-    new_modes = []
-    for row in u:
-        s = row @ old
-        s = s / math.sqrt(float(np.dot(s, s)) * grid.dt)
-        new_modes.append(ModeFunction(grid=grid, samples=s, normalized=True))
-    new_modes = tuple(new_modes)
-    return MultimodeState(
-        register=ModeRegister(modes=new_modes), n_max=state.n_max, rho=rho
-    )
 
 
 def _rotate_and_trace(state: MultimodeState, rows: np.ndarray) -> np.ndarray:

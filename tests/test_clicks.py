@@ -61,7 +61,7 @@ def poisson_stream(rate: float, duration: float, seed: int) -> ClickStream:
     n = rng.poisson(rate * duration)
     times = np.sort(rng.uniform(0.0, duration, size=n))
     times = times[np.concatenate([[True], np.diff(times) > 0.0])]
-    return ClickStream(times=times, duration=duration, mean_rate=rate)
+    return ClickStream(times=times, duration=duration)
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +309,7 @@ class TestG2Histogram:
 
 class TestSelectCoincidences:
     def test_empty_stream(self):
-        empty = ClickStream(times=np.array([]), duration=1e-3, mean_rate=0.0)
+        empty = ClickStream(times=np.array([]), duration=1e-3)
         assert select_coincidences(empty, window=65e-9).shape == (0, 2)
 
     def test_window_guard(self):
@@ -440,7 +440,7 @@ class TestCoincidenceSelector:
         selector = CoincidenceSelector(window, dead_time, rng_seed)
         got = [selector.feed(times[lo:hi]) for lo, hi in chunks]
         assert np.concatenate(got).tobytes() == want.tobytes()
-        stream = ClickStream(times=times, duration=times[-1] + 1.0 if times.size else 1.0, mean_rate=1.0)
+        stream = ClickStream(times=times, duration=times[-1] + 1.0 if times.size else 1.0)
         one = select_coincidences(stream, window, dead_time, rng_seed)
         assert one.shape == want.shape and one.tobytes() == want.tobytes()
 
@@ -482,15 +482,15 @@ class TestCoincidenceSelector:
 class TestStreamValidation:
     def test_rejects_unsorted(self):
         with pytest.raises(OutOfRange):
-            ClickStream(times=np.array([2e-6, 1e-6]), duration=1e-5, mean_rate=1e5)
+            ClickStream(times=np.array([2e-6, 1e-6]), duration=1e-5)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(OutOfRange):
-            ClickStream(times=np.array([2e-5]), duration=1e-5, mean_rate=1e5)
+            ClickStream(times=np.array([2e-5]), duration=1e-5)
 
     def test_keeps_a_read_only_view(self):
         times = np.array([1e-6, 2e-6, 3e-6])
-        stream = ClickStream(times=times, duration=1e-5, mean_rate=1e5)
+        stream = ClickStream(times=times, duration=1e-5)
         assert np.shares_memory(stream.times, times)
         assert not stream.times.flags.writeable
         assert times.flags.writeable

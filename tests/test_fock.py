@@ -1,11 +1,13 @@
-"""Truncated Fock engine: heralded state, loss channel, basis changes,
-mode reductions, and their agreement with the closed forms.
+"""Truncated Fock engine: heralded state, loss channel, the basis-change
+matrix behind the reductions, mode reductions, and their agreement with
+the closed forms.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,6 @@ from heraldsim.errors import (
     GridMismatch,
     InvalidDensity,
     ModesNotOrthogonal,
-    NotUnitary,
     OutOfRange,
     SpanDeficit,
 )
@@ -30,9 +31,7 @@ from heraldsim.fock import (
     apply_loss_channel,
     basis_tuples,
     build_heralded_state,
-    change_mode_basis,
     check_density,
-    decomposition_coeffs,
     density_matrix_from_json,
     density_matrix_to_json,
     loss_channel_single,
@@ -40,6 +39,7 @@ from heraldsim.fock import (
     reduce_to_mode,
     reduce_to_mode_pair,
 )
+from heraldsim.fock import _transform_matrix
 from heraldsim.modes import (
     ModeFunction,
     extend_orthonormal_basis,
@@ -106,26 +106,31 @@ class TestModeRegister:
 
 
 class TestDecompositionCoeffs:
+    """The triggers' coefficients over the register, as ``build_heralded_state``
+    computes them."""
+
     def test_orthogonalized_register(self, grid, pair40):
+        # on (g1, h2): g1 = (1, 0) and g2 = (I, sqrt(1 - I**2)), so the state
+        # is sqrt(2)*I |2,0> + sqrt(1 - I**2) |1,1>, over sqrt(1 + I**2)
         g1, g2 = pair40
         ov = overlap(g1, g2)
         register = ModeRegister(modes=tuple(extend_orthonormal_basis([g1, g2], grid, 2)))
-        coeffs = decomposition_coeffs(register, g1, g2)
-        np.testing.assert_allclose(coeffs.alpha, [1.0, 0.0], atol=1e-9)
-        np.testing.assert_allclose(
-            coeffs.beta, [ov, math.sqrt(1.0 - ov * ov)], atol=1e-9
-        )
-        assert abs(coeffs.residual1) < 1e-9
-        assert abs(coeffs.residual2) < 1e-9
+        state = build_heralded_state(register, g1, g2)
+        diag = np.real(np.diag(state.rho))
+        norm = 1.0 + ov * ov
+        assert diag[state.index_of((2, 0))] == pytest.approx(2.0 * ov * ov / norm, abs=1e-9)
+        assert diag[state.index_of((1, 1))] == pytest.approx((1.0 - ov * ov) / norm, abs=1e-9)
+        assert diag[state.index_of((0, 2))] == pytest.approx(0.0, abs=1e-9)
 
     def test_residual_outside_span(self, grid, pair40):
         g1, g2 = pair40
         f1, _ = make_symmetric_antisymmetric(g1, g2)
         register = ModeRegister(modes=(f1,))
-        coeffs = decomposition_coeffs(register, g1, g2)
         ov = overlap(g1, g2)
         # each trigger leaves (1 - I)/2 of its mass outside the f1 span
-        assert coeffs.residual1 == pytest.approx((1.0 - ov) / 2.0, abs=1e-9)
+        residual = f"{(1.0 - ov) / 2.0:.2e}"
+        with pytest.raises(SpanDeficit, match=re.escape(f"span: {residual}, {residual} ")):
+            build_heralded_state(register, g1, g2)
 
 
 class TestBuildHeraldedState:
@@ -239,11 +244,20 @@ def test_import_leaves_scipy_special_unloaded():
     assert proc.returncode == 0
 
 
+def rotated(state, unitary):
+    """The state's density matrix in the modes given by the rows of ``unitary``."""
+    transform = _transform_matrix(state.basis, state._index, unitary)
+    return transform @ state.rho @ transform.T
+
+
 class TestChangeModeBasis:
+    """``_transform_matrix``, the occupation-basis matrix of a real
+    orthogonal change of mode basis, by which the reductions rotate."""
+
     def test_identity_rotation(self, grid):
         *_, state = heralded_scene(grid, 40e-9)
-        out = change_mode_basis(state, np.eye(2))
-        np.testing.assert_allclose(out.rho, state.rho, atol=1e-12)
+        transform = _transform_matrix(state.basis, state._index, np.eye(2))
+        np.testing.assert_allclose(transform, np.eye(len(state.basis)), atol=1e-12)
 
     def test_rotation_to_adapted_pair(self, grid):
         g1, g2, f1, f2, state = heralded_scene(grid, 40e-9)
@@ -251,51 +265,26 @@ class TestChangeModeBasis:
         c = math.sqrt((1 + ov) / 2)
         s = math.sqrt((1 - ov) / 2)
         # rows express (f1, f2) in the register basis (g1, h2)
-        rotated = change_mode_basis(state, np.array([[c, s], [s, -c]]))
+        diag = np.real(np.diag(rotated(state, np.array([[c, s], [s, -c]]))))
         norm = 2.0 * (1.0 + ov * ov)
-        diag = np.real(np.diag(rotated.rho))
-        i20 = rotated.index_of((2, 0))
-        i02 = rotated.index_of((0, 2))
-        i11 = rotated.index_of((1, 1))
-        assert diag[i20] == pytest.approx((1 + ov) ** 2 / norm, abs=1e-10)
-        assert diag[i02] == pytest.approx((1 - ov) ** 2 / norm, abs=1e-10)
-        assert abs(diag[i11]) < 1e-10
-        # the register's mode functions were recombined accordingly
-        assert overlap(rotated.register.modes[0], f1) == pytest.approx(1.0, abs=1e-9)
+        assert diag[state.index_of((2, 0))] == pytest.approx((1 + ov) ** 2 / norm, abs=1e-10)
+        assert diag[state.index_of((0, 2))] == pytest.approx((1 - ov) ** 2 / norm, abs=1e-10)
+        assert abs(diag[state.index_of((1, 1))]) < 1e-10
 
     def test_involution_returns_state(self, grid):
         *_, state = heralded_scene(grid, 40e-9)
-        u = np.array([[0.6, 0.8], [0.8, -0.6]])
-        back = change_mode_basis(change_mode_basis(state, u), u)
-        np.testing.assert_allclose(back.rho, state.rho, atol=1e-10)
+        transform = _transform_matrix(state.basis, state._index, np.array([[0.6, 0.8], [0.8, -0.6]]))
+        np.testing.assert_allclose(transform @ transform, np.eye(len(state.basis)), atol=1e-12)
 
     def test_total_photon_number_invariant(self, grid):
         *_, state = heralded_scene(grid, 40e-9)
         u = np.array([[0.6, 0.8], [0.8, -0.6]])
-        rotated = change_mode_basis(state, u)
-
-        def mean_total(st):
-            occ = np.array([sum(t) for t in st.basis], dtype=float)
-            return float(occ @ np.real(np.diag(st.rho)))
-
-        assert mean_total(rotated) == pytest.approx(mean_total(state), abs=1e-10)
-        assert mean_total(state) == pytest.approx(2.0, abs=1e-10)
-
-    def test_rejects_non_orthogonal(self, grid):
-        *_, state = heralded_scene(grid, 40e-9)
-        with pytest.raises(NotUnitary):
-            change_mode_basis(state, np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-    def test_rejects_complex(self, grid):
-        *_, state = heralded_scene(grid, 40e-9)
-        u = np.array([[1j, 0.0], [0.0, 1.0]])
-        with pytest.raises(NotUnitary):
-            change_mode_basis(state, u)
-
-    def test_rejects_wrong_shape(self, grid):
-        *_, state = heralded_scene(grid, 40e-9)
-        with pytest.raises(NotUnitary):
-            change_mode_basis(state, np.eye(3))
+        total = np.array([sum(t) for t in state.basis], dtype=float)
+        # no entry links occupations of different total photon number
+        transform = _transform_matrix(state.basis, state._index, u)
+        assert np.all(transform[total[:, None] != total[None, :]] == 0.0)
+        for rho in (state.rho, rotated(state, u)):
+            assert float(total @ np.real(np.diag(rho))) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestReduceToMode:
