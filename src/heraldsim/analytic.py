@@ -129,6 +129,11 @@ def fixed_mode_distribution(ov: float) -> PhotonDistribution:
     return PhotonDistribution(np.array([0.0, 1.0 - p2, p2]))
 
 
+def _check_transmission(eta: float) -> None:
+    if not (0.0 <= eta <= 1.0):
+        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
+
+
 def apply_loss(dist: PhotonDistribution, eta: float) -> PhotonDistribution:
     """Binomial loss channel with transmission ``eta`` on support <= 2:
 
@@ -138,8 +143,7 @@ def apply_loss(dist: PhotonDistribution, eta: float) -> PhotonDistribution:
 
     Trace is preserved exactly by construction of P0'.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
+    _check_transmission(eta)
     if dist.cutoff > 2 and float(np.sum(dist.probs[3:])) > 0.0:
         raise UnsupportedSupport("closed-form loss supports at most two photons")
     p = dist.probs
@@ -168,7 +172,6 @@ def two_photon_weight_lossy(delta_t: float, gamma: float, eta: float) -> float:
     """Two-photon probability in the adapted mode f1 after transmission eta:
     eta**2 * F+(I(delta_t)).  This is exact for the support-2 state: loss
     multiplies the two-photon weight by eta**2."""
-    if not (0.0 <= eta <= 1.0):
-        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
+    _check_transmission(eta)
     f_plus, _ = fidelity_optimal(overlap_closed_form(delta_t, gamma))
     return eta * eta * f_plus

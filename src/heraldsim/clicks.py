@@ -334,6 +334,16 @@ def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return z
 
 
+def _check_rate(mean_rate: float, dt_field: float) -> None:
+    """The thinning's validity bound, fixed by the mean rate and field step alone."""
+    if not (math.isfinite(mean_rate) and mean_rate > 0.0):
+        raise OutOfRange(f"mean rate must be positive, got {mean_rate}")
+    if mean_rate * dt_field > MAX_RATE_DT:
+        raise RateTooHigh(
+            f"mean_rate*dt_field = {mean_rate * dt_field:.3f} > {MAX_RATE_DT}: refine the field grid"
+        )
+
+
 def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int) -> ClickStream:
     """Cox-process clicks: thin a homogeneous Poisson stream at the peak
     rate ``mean_rate * max(intensity)`` down to rate(t) = mean_rate * |a(t)|**2.
@@ -344,13 +354,8 @@ def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int) -> ClickSt
         If mean_rate * dt_field > 0.1 (intensity not resolved between
         candidate events).
     """
-    if not (math.isfinite(mean_rate) and mean_rate > 0.0):
-        raise OutOfRange(f"mean rate must be positive, got {mean_rate}")
     dt = field.grid.dt
-    if mean_rate * dt > MAX_RATE_DT:
-        raise RateTooHigh(
-            f"mean_rate*dt_field = {mean_rate * dt:.3f} > {MAX_RATE_DT}: refine the field grid"
-        )
+    _check_rate(mean_rate, dt)
     rng = np.random.default_rng(rng_seed)
     intensity = field.intensity()
     duration = field.grid.n_samples * dt

@@ -61,13 +61,14 @@ from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mo
 from .clicks import (
     ClickStream,
     CoincidenceSelector,
+    _check_rate,
     g2_bin_edges,
     g2_histogram,
     sample_clicks,
     thermal_field_chunks,
     write_g2_csv,
 )
-from .errors import InsufficientPairs, OutOfRange, ResolutionTooCoarse
+from .errors import DegenerateModes, InsufficientPairs, OutOfRange, ResolutionTooCoarse
 from .fock import (
     ModeRegister,
     MultimodeState,
@@ -313,7 +314,10 @@ def _build_scene(config: ExperimentConfig, delta_t: float) -> _DelayScene:
                 f"grid_dt_ns {config.grid_dt_ns} puts the trigger-mode overlap at {delta_t * 1e9:g} ns "
                 f"delay {gap:.2e} from its closed form, beyond {MAX_OVERLAP_GAP:g}; use a finer grid"
             )
-        f1, f2 = make_symmetric_antisymmetric(g1, g2)
+        try:
+            f1, f2 = make_symmetric_antisymmetric(g1, g2)
+        except DegenerateModes as exc:
+            raise DegenerateModes(f"trigger modes at {delta_t * 1e9:g} ns delay: {exc}") from None
         modes = {"g1": g1, "g2": g2, "f1": f1, "f2": f2}
         basis = extend_orthonormal_basis([g1, g2], grid, 2)
     register = ModeRegister(modes=tuple(basis))
@@ -343,6 +347,7 @@ def _click_chunks(config: ExperimentConfig, duration: float) -> tuple[Iterator[n
     feeds the caller's next random step.
     """
     dt_field = config.field_dt_ns * 1e-9
+    _check_rate(config.mean_rate_hz, dt_field)  # refused before the first draw
     n_samples = int(round(duration / dt_field))
     # one chunk at least, so a too-short duration raises DurationTooShort
     n_chunks = max(1, -(-n_samples // FIELD_CHUNK_SAMPLES))
@@ -542,7 +547,12 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
     n_bins = int(math.ceil(config.acceptance_window_ns / config.delta_t_bin_ns))
     edges = bin_width * np.arange(n_bins + 1)
     centers_ns = [(edges[b] + 0.5 * bin_width) * 1e9 for b in range(n_bins)]
-    rhos, analytic = _reduced_states(config, centers_ns, "f1")
+    try:
+        rhos, analytic = _reduced_states(config, centers_ns, "f1")
+    except DegenerateModes as exc:  # only the first bin center can be that close
+        raise DegenerateModes(
+            f"{exc}; that is the first bin center, half of delta_t_bin_ns {config.delta_t_bin_ns:g}: widen the bins"
+        ) from None
     chunks, _, duration, pair_seed = _click_chunks(config, config.end_to_end_duration_s)
     selector = CoincidenceSelector(
         window=config.acceptance_window_ns * 1e-9,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import PhotonDistribution
+from .analytic import PhotonDistribution, _check_transmission
 from .errors import (
     CutoffExceeded,
     GridMismatch,
@@ -201,8 +201,7 @@ def _loss_on_mode(
 
 def loss_channel_single(rho: np.ndarray, eta: float) -> np.ndarray:
     """Binomial loss channel on a single-mode density matrix."""
-    if not 0.0 <= eta <= 1.0:
-        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
+    _check_transmission(eta)
     rho = np.asarray(rho, dtype=complex)
     n_max = rho.shape[0] - 1
     basis = [(n,) for n in range(n_max + 1)]
@@ -215,8 +214,7 @@ def apply_loss_channel(state: MultimodeState, eta: float) -> MultimodeState:
     Photon loss only lowers occupation numbers, so the truncated basis is
     closed under the channel and the trace is preserved to float accuracy.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise OutOfRange(f"transmission must lie in [0, 1], got {eta}")
+    _check_transmission(eta)
     basis, index = state.basis, state._index  # type: ignore[attr-defined]
     rho = np.asarray(state.rho, dtype=complex)
     for mode in range(len(state.register)):

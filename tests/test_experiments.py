@@ -443,9 +443,15 @@ class TestClickStream:
             return e_last
 
         monkeypatch.setattr(clicks, "_innovations", slow_innovations)
-        too_fast = dataclasses.replace(TINY, mean_rate_hz=1e9)  # rate * dt = 0.5
+
+        def too_fast(field, mean_rate, rng_seed):
+            # rate * dt = 0.5; _click_chunks refuses that before any draw,
+            # so here only the thinning sees it
+            return clicks.sample_clicks(field, 1e9, rng_seed)
+
+        monkeypatch.setattr(experiments, "sample_clicks", too_fast)
         with pytest.raises(RateTooHigh):
-            _click_stream(too_fast, 3 * FIELD_CHUNK_SAMPLES * dt)
+            _click_stream(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)
         assert len(drawn) == 2  # chunk 1 finished before the error left
         assert threading.active_count() == before
 
@@ -966,23 +972,31 @@ class TestCli:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
-        "command, raw, error",
+        "command, raw, error, says",
         [
-            ("g2", '{"g2_n_events": 50000, "g2_bin_ns": 40, "g2_max_delay_ns": 60}', "OutOfRange"),
-            ("g2", '{"g2_n_events": 400000, "g2_bin_ns": 0.7}', "OutOfRange"),
-            ("sweep-delay", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse"),
-            ("sweep-fixed", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse"),
-            ("fock-panels", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse"),
+            ("g2", '{"g2_n_events": 50000, "g2_bin_ns": 40, "g2_max_delay_ns": 60}', "OutOfRange", ()),
+            ("g2", '{"g2_n_events": 400000, "g2_bin_ns": 0.7}', "OutOfRange", ()),
+            ("sweep-delay", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse", ()),
+            ("sweep-fixed", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse", ()),
+            ("fock-panels", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse", ()),
             # the first bin center, 0.005 ns, leaves no antisymmetric mode
             (
                 "end-to-end",
                 '{"delta_t_bin_ns": 0.01, "min_pairs_per_bin": 1, "end_to_end_duration_s": 0.004}',
                 "DegenerateModes",
+                ("0.005 ns delay", "delta_t_bin_ns 0.01"),
             ),
+            ("sweep-delay", '{"delays_ns": [0.0, 0.0001]}', "DegenerateModes", ("0.0001 ns delay",)),
+            # mean_rate_hz * field_dt_ns = 0.5, beyond the thinning's bound 0.1
+            ("g2", '{"mean_rate_hz": 1e9}', "RateTooHigh", ("mean_rate*dt_field",)),
+            ("end-to-end", '{"mean_rate_hz": 1e9}', "RateTooHigh", ("mean_rate*dt_field",)),
         ],
-        ids=["g2_bin_40ns", "g2_bin_0.7ns", "sweep_delay", "sweep_fixed", "fock_panels", "end_to_end"],
+        ids=[
+            "g2_bin_40ns", "g2_bin_0.7ns", "sweep_delay", "sweep_fixed", "fock_panels", "end_to_end",
+            "sweep_delay_degenerate", "g2_rate", "end_to_end_rate",
+        ],
     )
-    def test_config_failure_precedes_every_draw(self, tmp_path, capsys, monkeypatch, command, raw, error):
+    def test_config_failure_precedes_every_draw(self, tmp_path, capsys, monkeypatch, command, raw, error, says):
         # what the config alone fixes is checked before the first random draw
         def no_draw(*args, **kwargs):
             raise AssertionError("a random draw was made")
@@ -993,7 +1007,9 @@ class TestCli:
         path.write_text(raw)
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "run")])
         assert rc == 1
-        assert self.single_error(capsys)["type"] == error
+        err = self.single_error(capsys)
+        assert err["type"] == error
+        assert all(part in err["message"] for part in says), err["message"]
         assert not (tmp_path / "run").exists()
 
     def test_warnings_before_a_failure_join_the_error(self, tmp_path, capsys):
