@@ -38,8 +38,8 @@ from heraldsim.fock import (
     photon_distribution,
     reduce_to_mode,
     reduce_to_mode_pair,
+    _transform_matrix,
 )
-from heraldsim.fock import _transform_matrix
 from heraldsim.modes import (
     ModeFunction,
     extend_orthonormal_basis,
