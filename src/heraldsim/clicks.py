@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import g2_closed_form
 from .errors import (
     DurationTooShort,
     InsufficientStatistics,
@@ -49,7 +48,7 @@ from .errors import (
     RateTooHigh,
     ResolutionTooCoarse,
 )
-from .modes import TimeGrid, write_csv
+from .modes import TimeGrid
 
 # Click-rate validity: intensity must be resolved on the field grid.
 MAX_RATE_DT = 0.1
@@ -574,13 +573,3 @@ def select_coincidences(
     when no pair is accepted.
     """
     return CoincidenceSelector(window, dead_time, rng_seed).feed(stream.times)
-
-
-def write_g2_csv(hist: G2Histogram, path: str, gamma: float | None = None) -> None:
-    """Histogram as CSV (delay_ns, g2); adds g2_theory when gamma given."""
-    columns = [hist.bin_centers * 1e9, hist.g2]
-    header = "delay_ns,g2"
-    if gamma is not None:
-        columns.append(g2_closed_form(hist.bin_centers, gamma))
-        header = "delay_ns,g2_empirical,g2_theory"
-    write_csv(path, np.column_stack(columns), header)

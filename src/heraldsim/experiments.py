@@ -37,8 +37,9 @@ order from ``sample_quadratures``, for samples.csv, and fits them in one
 batch.
 
 Every driver checks what its config alone fixes before its first random
-draw, and computes all it reports before it creates its output
-directory, so a run that fails leaves none behind.
+draw, and computes all it reports before it hands its files to
+``_write_outputs``, the package's one file writer, so a run that fails
+leaves no output directory behind.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .clicks import (
     g2_histogram,
     sample_clicks,
     thermal_field_chunks,
-    write_g2_csv,
 )
 from .errors import DegenerateModes, InsufficientPairs, OutOfRange, ResolutionTooCoarse
 from .fock import (
@@ -74,7 +74,6 @@ from .fock import (
     MultimodeState,
     apply_loss_channel,
     build_heralded_state,
-    density_matrix_to_json,
     reduce_to_mode,
 )
 from .homodyne import quadrature_values, sample_quadratures
@@ -86,8 +85,6 @@ from .modes import (
     make_trigger_mode,
     overlap,
     overlap_closed_form,
-    write_csv,
-    write_mode_csv,
 )
 from .tomo import MLConfig, MLResult, ml_diagonal, ml_diagonal_batch
 
@@ -248,29 +245,53 @@ def _sample_seeds(seed: int, count: int) -> list[int]:
     return _derive_seeds(seed, 2 * count)[::2]
 
 
-def write_manifest(config: ExperimentConfig, out_dir: Path, command: str, outputs: list[str]) -> Path:
+def _out_dir(config: ExperimentConfig, out_dir: str | Path | None, command: str) -> Path:
+    return Path(out_dir) if out_dir is not None else Path(config.output_dir) / command
+
+
+def _write_outputs(config: ExperimentConfig, out_dir: str | Path | None, command: str, files: dict) -> None:
+    """Create the output directory and write ``files`` into it in order, a
+    dict as indented JSON and a (table, header) pair through ``write_csv``,
+    then manifest.json, whose ``outputs`` lists them.  Each driver calls it
+    once, after all its work, so a run that fails leaves no directory."""
+    out = _out_dir(config, out_dir, command)
+    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config_hash": config_hash(config),
         "rng_seed": config.rng_seed,
-        "outputs": outputs,
-        "versions": {
-            "heraldsim": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
+        "outputs": list(files),
+        "versions": {"heraldsim": __version__, "numpy": np.__version__, "python": platform.python_version()},
         "config": config.to_json_dict(),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    for name, content in {**files, "manifest.json": manifest}.items():
+        if isinstance(content, dict):
+            (out / name).write_text(json.dumps(content, indent=2) + "\n")
+        else:
+            write_csv(out / name, *content)
 
 
-def _prepare_out_dir(config: ExperimentConfig, out_dir: str | Path | None, command: str) -> Path:
-    # drivers call this just before their first write, not before the work
-    base = Path(out_dir) if out_dir is not None else Path(config.output_dir) / command
-    base.mkdir(parents=True, exist_ok=True)
-    return base
+_CSV_BLOCK_ROWS = 4096
+
+
+def write_csv(path: str | Path, table: np.ndarray | list, header: str) -> None:
+    """Write the rows of a 2-d float ``table`` as CSV under the line
+    ``header``, each value as ``%.12g``.  The bytes are those of
+    ``np.savetxt(path, table, fmt="%.12g", delimiter=",", header=header,
+    comments="")``; one ``%`` formats each block of at most 4,096 rows,
+    so the text held at once stays bounded."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _rho_json(rho: np.ndarray) -> dict:
+    """A density matrix as JSON: its dimension and row-major real and imaginary parts."""
+    return {"dimension": rho.shape[0], "real": rho.real.ravel().tolist(), "imag": rho.imag.ravel().tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +446,7 @@ def _sweep(
     for delta_ns, closed, result in zip(config.delays_ns, analytic, results):
         per_n = [(closed.p(n), float(result.probs[n]), float(result.stderr[n])) for n in photon_numbers]
         table.append([delta_ns, *(value for triple in per_n for value in triple)])
-    out = _prepare_out_dir(config, out_dir, name)
-    write_csv(out / f"{name}.csv", table, ",".join(columns))
-    write_manifest(config, out, name, [f"{name}.csv"])
+    _write_outputs(config, out_dir, name, {f"{name}.csv": (table, ",".join(columns))})
     return [dict(zip(columns, row)) for row in table]
 
 
@@ -446,9 +465,7 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)
     deviation = np.abs(hist.g2 - theory)
-    out = _prepare_out_dir(config, out_dir, "g2")
-    csv_path = out / "g2.csv"
-    write_g2_csv(hist, csv_path, gamma=config.gamma_hz)
+    table = np.column_stack([hist.bin_centers * 1e9, hist.g2, theory])
     summary = {
         "n_clicks": int(len(stream)),
         # the number of field chunks
@@ -457,10 +474,10 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
         "g2_zero": float(hist.g2[0]),
         "max_abs_deviation": float(deviation.max()),
         "rms_deviation": float(np.sqrt(np.mean(deviation**2))),
-        "csv": str(csv_path),
+        "csv": str(_out_dir(config, out_dir, "g2") / "g2.csv"),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    write_manifest(config, out, "g2", ["g2.csv", "summary.json"])
+    files = {"g2.csv": (table, "delay_ns,g2_empirical,g2_theory"), "summary.json": summary}
+    _write_outputs(config, out_dir, "g2", files)
     return summary
 
 
@@ -507,9 +524,7 @@ def run_fock_panels(
     scene = _build_scene(config, delta_t_ns * 1e-9)
     rhos = [reduce_to_mode(scene.state, mode) for mode in scene.modes.values()]
     (results,) = _fit_states(config, rhos, [config.rng_seed])
-    out = _prepare_out_dir(config, out_dir, "fock_panels")
-    outputs = []
-    panels = {}
+    panels, files = {}, {}
     for (name, mode), rho, result in zip(scene.modes.items(), rhos, results):
         panel = {
             "mode": name,
@@ -518,14 +533,11 @@ def run_fock_panels(
             "reconstruction": result.to_json_dict(),
             "stderr": [float(s) for s in result.stderr],
             "analytic_probs": [float(p) for p in scene.analytic[name].probs],
-            "exact_rho": json.loads(density_matrix_to_json(rho)),
+            "exact_rho": _rho_json(rho),
         }
-        panels[name] = panel
-        panel_path = out / f"panel_{name}.json"
-        panel_path.write_text(json.dumps(panel, indent=2) + "\n")
-        write_mode_csv(mode, out / f"mode_{name}.csv")
-        outputs += [f"panel_{name}.json", f"mode_{name}.csv"]
-    write_manifest(config, out, "fock_panels", outputs)
+        panels[name] = files[f"panel_{name}.json"] = panel
+        files[f"mode_{name}.csv"] = (np.column_stack([mode.grid.times(), mode.samples]), "t_seconds,amplitude")
+    _write_outputs(config, out_dir, "fock_panels", files)
     return panels
 
 
@@ -605,8 +617,6 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         entry["analytic_probs"] = [float(p) for p in closed.probs]
         entry["P2_pull"] = float((result.probs[2] - closed.p(2)) / result.stderr[2])
     rows = [np.column_stack([xt, delays[idx] * 1e9]) for xt, (idx, _, _) in zip(samples, fitted)]
-    out = _prepare_out_dir(config, out_dir, "end_to_end")
-    write_csv(out / "samples.csv", np.concatenate(rows), "x,theta_rad,delta_t_ns")
     report = {
         "n_clicks": n_clicks,
         "n_pairs": int(len(pairs)),
@@ -615,8 +625,8 @@ def end_to_end(config: ExperimentConfig, out_dir: str | Path | None = None) -> d
         "duration_s": duration,
         "bins": bins_report,
     }
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    write_manifest(config, out, "end_to_end", ["samples.csv", "report.json"])
+    samples_table = (np.concatenate(rows), "x,theta_rad,delta_t_ns")
+    _write_outputs(config, out_dir, "end_to_end", {"samples.csv": samples_table, "report.json": report})
     return report
 
 
@@ -636,9 +646,7 @@ def reconstruct_samples(
     payload["stderr"] = [float(s) for s in result.stderr]
     payload["n_samples"] = int(x.size)
     payload["source"] = str(samples_csv)
-    out = _prepare_out_dir(config, out_dir, "reconstruct")
-    (out / "reconstruction.json").write_text(json.dumps(payload, indent=2) + "\n")
-    write_manifest(config, out, "reconstruct", ["reconstruction.json"])
+    _write_outputs(config, out_dir, "reconstruct", {"reconstruction.json": payload})
     return payload
 
 

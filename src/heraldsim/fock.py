@@ -23,7 +23,6 @@ modes with at most four photons, so dimensions stay below ~10^2.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -353,22 +352,3 @@ def photon_distribution(rho: np.ndarray) -> PhotonDistribution:
     diag = np.clip(np.real(np.diag(rho)), 0.0, None)
     diag = diag / diag.sum()
     return PhotonDistribution(diag)
-
-
-def density_matrix_to_json(rho: np.ndarray) -> str:
-    """Serialize a density matrix as JSON (dimension, row-major real/imag)."""
-    rho = np.asarray(rho, dtype=complex)
-    payload = {
-        "dimension": rho.shape[0],
-        "real": [float(v) for v in rho.real.ravel()],
-        "imag": [float(v) for v in rho.imag.ravel()],
-    }
-    return json.dumps(payload)
-
-
-def density_matrix_from_json(text: str) -> np.ndarray:
-    payload = json.loads(text)
-    d = int(payload["dimension"])
-    re = np.array(payload["real"], dtype=float).reshape(d, d)
-    im = np.array(payload["imag"], dtype=float).reshape(d, d)
-    return re + 1j * im

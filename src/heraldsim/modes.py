@@ -18,16 +18,11 @@ larger orthonormal analysis basis.
 
 Conventions: time in seconds, mode samples in s^(-1/2), discrete inner
 product  <a, b> = sum(a*b) * dt.
-
-``write_csv`` is the package's one CSV writer.  It lives here, in the
-lowest module that writes a CSV, so ``clicks`` and ``experiments`` import
-it without a cycle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -296,26 +291,3 @@ def extend_orthonormal_basis(seeds: list[ModeFunction], grid: TimeGrid, total: i
     if len(basis) < total:
         raise RankDeficient(f"could only build {len(basis)} of {total} requested modes")
     return [ModeFunction(grid=grid, samples=b, normalized=True) for b in basis]
-
-
-_CSV_BLOCK_ROWS = 4096
-
-
-def write_csv(path: str | os.PathLike, table: np.ndarray | list, header: str) -> None:
-    """Write the rows of a 2-d float ``table`` as CSV under the line
-    ``header``, each value as ``%.12g``.  The bytes are those of
-    ``np.savetxt(path, table, fmt="%.12g", delimiter=",", header=header,
-    comments="")``; one ``%`` formats each block of at most 4,096 rows,
-    so the text held at once stays bounded."""
-    table = np.asarray(table, dtype=float)
-    row = ",".join(["%.12g"] * table.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = table[start : start + _CSV_BLOCK_ROWS]
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
-
-
-def write_mode_csv(mode: ModeFunction, path: str) -> None:
-    """Write a mode as CSV with columns (t_seconds, amplitude)."""
-    write_csv(path, np.column_stack([mode.grid.times(), mode.samples]), "t_seconds,amplitude")

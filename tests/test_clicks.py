@@ -29,7 +29,6 @@ from heraldsim.clicks import (
     select_coincidences,
     synthesize_thermal_field,
     thermal_field_chunks,
-    write_g2_csv,
 )
 from heraldsim.errors import (
     DurationTooShort,
@@ -494,23 +493,3 @@ class TestStreamValidation:
         assert np.shares_memory(stream.times, times)
         assert not stream.times.flags.writeable
         assert times.flags.writeable
-
-
-class TestCsvWriters:
-    def test_g2_csv_with_theory(self, tmp_path):
-        stream = poisson_stream(5e7, 1e-3, seed=120)
-        hist = g2_histogram(stream, bin_width=1e-9, max_delay=60e-9)
-        path = tmp_path / "g2.csv"
-        write_g2_csv(hist, str(path), gamma=GAMMA)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "delay_ns,g2_empirical,g2_theory"
-        first = lines[1].split(",")
-        assert float(first[0]) == pytest.approx(0.5)  # first bin center in ns
-        assert float(first[2]) == pytest.approx(g2_closed_form(0.5e-9, GAMMA), rel=1e-9)
-
-    def test_g2_csv_without_theory(self, tmp_path):
-        stream = poisson_stream(5e7, 1e-3, seed=121)
-        hist = g2_histogram(stream, bin_width=1e-9, max_delay=60e-9)
-        path = tmp_path / "g2.csv"
-        write_g2_csv(hist, str(path))
-        assert path.read_text().splitlines()[0] == "delay_ns,g2"

@@ -26,7 +26,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import heraldsim
-from heraldsim.analytic import PhotonDistribution, two_photon_weight_lossy
+from heraldsim.analytic import PhotonDistribution, g2_closed_form, two_photon_weight_lossy
 from heraldsim import clicks, experiments, tomo
 from heraldsim.cli import main
 from heraldsim.clicks import sample_clicks, synthesize_thermal_field
@@ -54,7 +54,7 @@ from heraldsim.experiments import (
     run_g2,
     save_config,
 )
-from heraldsim.fock import density_matrix_from_json, photon_distribution, reduce_to_mode
+from heraldsim.fock import photon_distribution, reduce_to_mode
 from heraldsim.homodyne import quadrature_values, sample_quadratures
 from heraldsim.modes import ModeFunction, extend_orthonormal_basis
 
@@ -339,8 +339,13 @@ class TestRunG2:
             "rms_deviation",
         }
         assert 1.6 < summary["g2_zero"] < 2.4
+        assert summary["csv"] == str(tmp_path / "g2.csv")
         header = (tmp_path / "g2.csv").read_text().splitlines()[0]
         assert header == "delay_ns,g2_empirical,g2_theory"
+        delay_ns, empirical, theory = np.loadtxt(tmp_path / "g2.csv", delimiter=",", skiprows=1, unpack=True)
+        assert delay_ns[0] == pytest.approx(0.25)  # the first bin center
+        np.testing.assert_allclose(theory, g2_closed_form(delay_ns * 1e-9, self.CFG.gamma_hz), rtol=1e-11)
+        assert empirical[0] == pytest.approx(summary["g2_zero"], rel=1e-11)
         assert (tmp_path / "summary.json").exists()
         assert (tmp_path / "manifest.json").exists()
 
@@ -519,9 +524,29 @@ class TestFockPanels:
         probs = panel["reconstruction"]["probs"]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(probs[:3], panel["analytic_probs"], atol=0.1)
-        rho = density_matrix_from_json(json.dumps(panel["exact_rho"]))
+        exact = panel["exact_rho"]
+        d = exact["dimension"]
+        rho = (np.array(exact["real"]) + 1j * np.array(exact["imag"])).reshape(d, d)
         assert rho.shape == (3, 3)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        # bit for bit the reduced state the panel fits
+        scene = _build_scene(TINY, 40e-9)
+        np.testing.assert_array_equal(rho, reduce_to_mode(scene.state, scene.modes["f1"]))
+
+    def test_mode_csv_round_trip(self, panels_run):
+        out, _ = panels_run
+        scene = _build_scene(TINY, 40e-9)
+        grid = TINY.grid()
+        for name, mode in scene.modes.items():
+            t, amplitude = np.loadtxt(out / f"mode_{name}.csv", delimiter=",", skiprows=1, unpack=True)
+            np.testing.assert_allclose(t, grid.times(), rtol=1e-10)
+            np.testing.assert_allclose(amplitude, mode.samples, rtol=1e-10)
+            assert np.dot(amplitude, amplitude) * grid.dt == pytest.approx(1.0, abs=1e-9)
+
+    def test_mode_csv_header(self, panels_run):
+        out, result = panels_run
+        for name in result:
+            assert (out / f"mode_{name}.csv").read_text().splitlines()[0] == "t_seconds,amplitude"
 
     def test_zero_delay_rejected(self, tmp_path):
         with pytest.raises(OutOfRange):
@@ -732,6 +757,16 @@ class TestReconstructSamples:
             warnings.simplefilter("error")  # a warning would reach stderr
             with pytest.raises(OutOfRange, match=message):
                 reconstruct_samples(path, TINY, tmp_path / "out")
+
+
+def test_manifest_lists_exactly_the_files_written(tmp_path, delay_sweep_run, fixed_sweep_run, panels_run, e2e_run):
+    g2_out, reconstruct_out = tmp_path / "g2", tmp_path / "reconstruct"
+    run_g2(TestRunG2.CFG, g2_out)
+    reconstruct_samples(write_sample_csv(tmp_path / "samples.csv"), TINY, reconstruct_out)
+    for out in (g2_out, delay_sweep_run[0], fixed_sweep_run[0], panels_run[0], e2e_run[0], reconstruct_out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = [path.name for path in out.iterdir() if path.name != "manifest.json"]
+        assert sorted(manifest["outputs"]) == sorted(written), out
 
 
 class TestCli:

@@ -5,6 +5,7 @@ the closed forms.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -25,6 +26,7 @@ from heraldsim.errors import (
     OutOfRange,
     SpanDeficit,
 )
+from heraldsim.experiments import _rho_json
 from heraldsim.fock import (
     ModeRegister,
     MultimodeState,
@@ -32,8 +34,6 @@ from heraldsim.fock import (
     basis_tuples,
     build_heralded_state,
     check_density,
-    density_matrix_from_json,
-    density_matrix_to_json,
     loss_channel_single,
     photon_distribution,
     reduce_to_mode,
@@ -422,13 +422,20 @@ class TestStateValidation:
 
 
 class TestDensityMatrixJson:
+    """``experiments._rho_json``, the panels' ``exact_rho``, reads back bit
+    for bit after a JSON round trip."""
+
+    @staticmethod
+    def round_trip(rho):
+        payload = json.loads(json.dumps(_rho_json(rho)))
+        d = payload["dimension"]
+        return (np.array(payload["real"]) + 1j * np.array(payload["imag"])).reshape(d, d)
+
     def test_round_trip_exact(self, grid):
         *_, state = heralded_scene(grid, 40e-9)
         rho = reduce_to_mode(apply_loss_channel(state, ETA), state.register.modes[0])
-        back = density_matrix_from_json(density_matrix_to_json(rho))
-        np.testing.assert_array_equal(back, rho)
+        np.testing.assert_array_equal(self.round_trip(rho), rho)
 
     def test_complex_entries_preserved(self):
         rho = np.array([[0.5, 0.1j], [-0.1j, 0.5]], dtype=complex)
-        back = density_matrix_from_json(density_matrix_to_json(rho))
-        np.testing.assert_array_equal(back, rho)
+        np.testing.assert_array_equal(self.round_trip(rho), rho)

@@ -20,6 +20,7 @@ from heraldsim.errors import (
     MarginTooSmall,
     RankDeficient,
 )
+from heraldsim.experiments import write_csv
 from heraldsim.modes import (
     HeraldPair,
     ModeFunction,
@@ -30,8 +31,6 @@ from heraldsim.modes import (
     make_trigger_mode,
     overlap,
     overlap_closed_form,
-    write_csv,
-    write_mode_csv,
 )
 
 from conftest import GAMMA, MID, herald_times
@@ -237,26 +236,10 @@ class TestHeraldPair:
         assert HeraldPair(t1=4e-9, t2=1e-9).delay == pytest.approx(-3e-9)
 
 
-class TestModeCsv:
-    def test_round_trip(self, tmp_path, grid):
-        m = make_trigger_mode(MID, GAMMA, grid)
-        path = tmp_path / "mode.csv"
-        write_mode_csv(m, str(path))
-        t, amplitude = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-        np.testing.assert_allclose(t, grid.times(), rtol=1e-10)
-        np.testing.assert_allclose(amplitude, m.samples, rtol=1e-10)
-        assert np.dot(amplitude, amplitude) * grid.dt == pytest.approx(1.0, abs=1e-9)
-
-    def test_header(self, tmp_path, grid):
-        m = make_trigger_mode(MID, GAMMA, grid)
-        path = tmp_path / "mode.csv"
-        write_mode_csv(m, str(path))
-        assert path.read_text().splitlines()[0] == "t_seconds,amplitude"
-
-
 class TestWriteCsv:
-    """``write_csv`` writes the bytes of ``np.savetxt`` at the package's one
-    format, across its 4,096-row blocks and at the extremes of %.12g."""
+    """``experiments.write_csv``, which writes every CSV artifact, writes the
+    bytes of ``np.savetxt`` at the package's one format, across its 4,096-row
+    blocks and at the extremes of %.12g."""
 
     @pytest.mark.parametrize("n_rows", [1, 4095, 4096, 4097, 3 * 4096 + 5])
     def test_bytes_of_savetxt(self, tmp_path, n_rows):
