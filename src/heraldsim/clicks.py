@@ -397,9 +397,10 @@ def g2_histogram(stream: ClickStream, bin_width: float, max_delay: float) -> G2H
     by the mean bin content over delays in [0.8*max_delay, max_delay].
 
     The bins are ``g2_bin_edges``.  The caller must pick max_delay >= 5
-    correlation times so the plateau is flat; the normalization region
-    must hold enough pairs for < 2% relative error, otherwise
-    InsufficientStatistics is raised.
+    correlation times, 5/(pi*gamma), so the plateau is flat (``run_g2``
+    refuses a shorter range); the normalization region must hold enough
+    pairs for < 2% relative error, otherwise InsufficientStatistics is
+    raised.
     """
     edges = g2_bin_edges(bin_width, max_delay)
     times = stream.times

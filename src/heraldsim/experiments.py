@@ -458,9 +458,15 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Simulate the trigger beam, histogram pair delays, compare to theory.
 
     Writes g2.csv (delay_ns, g2_empirical, g2_theory), summary.json, and a
-    manifest.  Returns the summary dict.
+    manifest.  Returns the summary dict.  Before any click, OutOfRange
+    refuses bins that ``g2_bin_edges`` refuses and a g2_max_delay_ns below
+    5 correlation times, 5/(pi*gamma), where the plateau that normalizes
+    g2 is not yet flat.
     """
     g2_bin_edges(config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)  # refused before any click
+    flat_ns = 5e9 / (math.pi * config.gamma_hz)  # 5 correlation times, where g2's plateau is flat
+    if not config.g2_max_delay_ns >= flat_ns:
+        raise OutOfRange(f"g2_max_delay_ns {config.g2_max_delay_ns:g} is below 5 correlation times, {flat_ns:.4g} ns")
     stream, n_chunks, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
     hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)

@@ -107,7 +107,7 @@ def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[np.ran
     if count <= 0:
         raise EmptyInput(f"sample count must be positive, got {count}")
     rho = np.asarray(rho, dtype=complex)
-    check_density(rho)
+    probs = photon_distribution(rho).probs
     if rho.shape[0] - 1 > MAX_FOCK:
         raise CutoffExceeded(f"density matrix cutoff {rho.shape[0] - 1} > {MAX_FOCK}")
     coherence = float(np.max(np.abs(rho - np.diag(np.diag(rho)))))
@@ -118,7 +118,7 @@ def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[np.ran
         )
     xs = np.linspace(-X_MAX, X_MAX, GRID_1D)
     pdf = np.zeros(GRID_1D)
-    for n, p in enumerate(photon_distribution(rho).probs):
+    for n, p in enumerate(probs):
         if p > 0.0:
             pdf += p * _node_pdf(n)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * (xs[1] - xs[0]))])

@@ -1011,6 +1011,13 @@ class TestCli:
         [
             ("g2", '{"g2_n_events": 50000, "g2_bin_ns": 40, "g2_max_delay_ns": 60}', "OutOfRange", ()),
             ("g2", '{"g2_n_events": 400000, "g2_bin_ns": 0.7}', "OutOfRange", ()),
+            # 5 correlation times are 30.03 ns: a 10 ns range has no flat plateau
+            (
+                "g2",
+                '{"g2_n_events": 400000, "g2_max_delay_ns": 10, "g2_bin_ns": 0.5}',
+                "OutOfRange",
+                ("g2_max_delay_ns 10", "30.03 ns"),
+            ),
             ("sweep-delay", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse", ()),
             ("sweep-fixed", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse", ()),
             ("fock-panels", '{"grid_dt_ns": 6, "grid_window_ns": 600}', "ResolutionTooCoarse", ()),
@@ -1027,7 +1034,7 @@ class TestCli:
             ("end-to-end", '{"mean_rate_hz": 1e9}', "RateTooHigh", ("mean_rate*dt_field",)),
         ],
         ids=[
-            "g2_bin_40ns", "g2_bin_0.7ns", "sweep_delay", "sweep_fixed", "fock_panels", "end_to_end",
+            "g2_bin_40ns", "g2_bin_0.7ns", "g2_range_10ns", "sweep_delay", "sweep_fixed", "fock_panels", "end_to_end",
             "sweep_delay_degenerate", "g2_rate", "end_to_end_rate",
         ],
     )
