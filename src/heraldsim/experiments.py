@@ -464,7 +464,7 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     g2 is not yet flat.
     """
     g2_bin_edges(config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)  # refused before any click
-    flat_ns = 5e9 / (math.pi * config.gamma_hz)  # 5 correlation times, where g2's plateau is flat
+    flat_ns = 5e9 / (math.pi * config.gamma_hz)
     if not config.g2_max_delay_ns >= flat_ns:
         raise OutOfRange(f"g2_max_delay_ns {config.g2_max_delay_ns:g} is below 5 correlation times, {flat_ns:.4g} ns")
     stream, n_chunks, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)

@@ -1034,8 +1034,8 @@ class TestCli:
             ("end-to-end", '{"mean_rate_hz": 1e9}', "RateTooHigh", ("mean_rate*dt_field",)),
         ],
         ids=[
-            "g2_bin_40ns", "g2_bin_0.7ns", "g2_range_10ns", "sweep_delay", "sweep_fixed", "fock_panels", "end_to_end",
-            "sweep_delay_degenerate", "g2_rate", "end_to_end_rate",
+            "g2_bin_40ns", "g2_bin_0.7ns", "g2_range_10ns", "sweep_delay", "sweep_fixed", "fock_panels",
+            "end_to_end", "sweep_delay_degenerate", "g2_rate", "end_to_end_rate",
         ],
     )
     def test_config_failure_precedes_every_draw(self, tmp_path, capsys, monkeypatch, command, raw, error, says):
