@@ -37,6 +37,7 @@ from heraldsim.errors import (
     RateTooHigh,
     ResolutionTooCoarse,
 )
+from heraldsim.experiments import ExperimentConfig, run_g2
 from heraldsim.modes import overlap_closed_form
 
 from conftest import GAMMA
@@ -493,3 +494,16 @@ class TestStreamValidation:
         assert np.shares_memory(stream.times, times)
         assert not stream.times.flags.writeable
         assert times.flags.writeable
+
+
+class TestCsvWriters:
+    def test_g2_csv_with_theory(self, tmp_path):
+        # g2.csv comes from the g2 driver, which tabulates the histogram
+        # next to its closed form
+        config = ExperimentConfig(gamma_hz=GAMMA, g2_n_events=50_000, g2_bin_ns=1.0, rng_seed=120)
+        run_g2(config, tmp_path)
+        lines = (tmp_path / "g2.csv").read_text().splitlines()
+        assert lines[0] == "delay_ns,g2_empirical,g2_theory"
+        first = lines[1].split(",")
+        assert float(first[0]) == pytest.approx(0.5)  # first bin center in ns
+        assert float(first[2]) == pytest.approx(g2_closed_form(0.5e-9, GAMMA), rel=1e-9)
