@@ -12,6 +12,9 @@ output paths, this runs
               config, seed 7
     selection end-to-end + reconstruct at SELECTION_CONFIG, seed 7: dead
               time 0, and many acceptance windows across field chunks
+    trigger   g2 at TRIGGER_CONFIG, seed 11: the perfbench ``trigger``
+              event count, with 0.6 ns bins, whose last edge lies one ulp
+              below g2_max_delay_ns
     calibrate scripts/calibrate.py point --seeds 2 --delays 0 10 30
               (default config), its report as calibrate.json
 
@@ -55,6 +58,10 @@ OUT = "identity_out"
 PIPELINE_SEED = 7
 # 42.5 k pairs over 31 field chunks, with no dead time between them
 SELECTION_CONFIG = {"end_to_end_duration_s": 0.004, "dead_time_ns": 0.0, "min_pairs_per_bin": 50}
+# 4e5 clicks over 62 field chunks; a delay of exactly 60 ns passes g2's
+# filter and falls outside every bin
+TRIGGER_CONFIG = {"g2_n_events": 400_000, "g2_bin_ns": 0.6}
+TRIGGER_SEED = 11
 # one heraldsim CLI call: what perfbench's worker and reproduce_figures.py do
 CLI = "import sys; from heraldsim.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -86,14 +93,16 @@ def _pipeline_config() -> dict:
 
 
 def write_configs(configs: Path) -> None:
-    """The config of each end-to-end run, as ``<run>.json`` in ``configs``."""
-    for name, config in (("pipeline", _pipeline_config()), ("selection", SELECTION_CONFIG)):
+    """The config of each end-to-end and g2 run, as ``<run>.json`` in ``configs``."""
+    for name, config in (
+        ("pipeline", _pipeline_config()), ("selection", SELECTION_CONFIG), ("trigger", TRIGGER_CONFIG)
+    ):
         (configs / f"{name}.json").write_text(json.dumps(config, indent=2) + "\n")
 
 
 def runs(configs: Path) -> dict[str, list[list[str]]]:
     """The commands of each run, relative to a checkout's root; the
-    end-to-end runs read their configs from ``configs``."""
+    end-to-end and g2 runs read their configs from ``configs``."""
     py = sys.executable
 
     def end_to_end(name: str) -> list[list[str]]:
@@ -109,6 +118,8 @@ def runs(configs: Path) -> dict[str, list[list[str]]]:
         "seed43": [[py, "scripts/reproduce_figures.py", "--out", f"{OUT}/seed43", "--seed", "43"]],
         "pipeline": end_to_end("pipeline"),
         "selection": end_to_end("selection"),
+        "trigger": [[py, "-c", CLI, "g2", "--config", str(configs / "trigger.json"), "--out",
+                     f"{OUT}/trigger", "--seed", str(TRIGGER_SEED)]],
         # the harness that refits the sweeps through their fit path
         "calibrate": [[py, "scripts/calibrate.py", "point", "--seeds", "2", "--delays", "0", "10",
                        "30", "--json", f"{OUT}/calibrate.json"]],

@@ -11,8 +11,8 @@ circular complex Gaussian ARMA(2,1) recursion that can be continued from
 one chunk of samples to the next, drives an inhomogeneous Poisson (Cox)
 click process by thinning, and provides the pair statistics: the
 normalized delay histogram g2 and the two-detector coincidence selection
-used for heralding, which ``CoincidenceSelector`` runs on one stream fed
-chunk by chunk.
+used for heralding, ``g2_histogram`` and ``CoincidenceSelector``, each on
+one stream fed chunk by chunk.
 
 ``thermal_field_chunks`` makes one field in chunks, each continuing the
 last, so that a caller can thin each chunk as it is made.  It is a
@@ -20,12 +20,11 @@ two-stage pipeline over two chunk buffers made once: a chunk's white
 noise and MA(1) step need only the last normal of the chunk before, so a
 helper thread draws chunk k+1's while the calling thread filters chunk k
 and thins it.  Per 2^18-sample chunk on a 2-vCPU Xeon host, the helper
-spends about 8.4 ms in ``_innovations`` (7.6 ms of it ``standard_normal``)
-while the calling thread spends 2 x 2.6 ms in ``_scan`` and 2.5 ms in
-``sample_clicks``; Generator fills and numpy loops release the GIL.  A
-caller's own work on a chunk runs on the calling thread too, which has
-only about 0.7 ms to spare: ``end_to_end``'s coincidence selection takes
-0.7-0.8 ms alone and about 1.2 ms beside the helper.
+spends about 8.2 ms in ``_innovations`` while the calling thread spends
+2 x 2.7 ms in ``_scan`` and 2.3 ms in ``sample_clicks``, which reuses one
+set of arrays from chunk to chunk; Generator fills and numpy loops release
+the GIL.  A caller's own work on a chunk runs on the calling thread too:
+coincidence selection about 1.2 ms, and g2's pair count about 0.5 ms.
 ``synthesize_thermal_field`` is its one-chunk case.
 
 For a thermal intensity the Siegert relation gives
@@ -35,7 +34,7 @@ g2(tau) = 1 + |g1(tau)|**2, so g2(0) = 2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -82,11 +81,6 @@ class FieldTrace:
             raise OutOfRange("amplitude length does not match grid")
         a.flags.writeable = False
         object.__setattr__(self, "amplitude", a)
-
-    def intensity(self) -> np.ndarray:
-        # one temporary; bit-equal to np.abs(a)**2
-        i = np.abs(self.amplitude)
-        return np.multiply(i, i, out=i)
 
 
 @dataclass(frozen=True)
@@ -343,9 +337,10 @@ def _check_rate(mean_rate: float, dt_field: float) -> None:
         )
 
 
-def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int) -> ClickStream:
+def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int, *, work: dict | None = None) -> ClickStream:
     """Cox-process clicks: thin a homogeneous Poisson stream at the peak
     rate ``mean_rate * max(intensity)`` down to rate(t) = mean_rate * |a(t)|**2.
+    Calls that share one ``work`` dict reuse its arrays, with the same times.
 
     Raises
     ------
@@ -353,16 +348,33 @@ def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int) -> ClickSt
         If mean_rate * dt_field > 0.1 (intensity not resolved between
         candidate events).
     """
-    dt = field.grid.dt
+    dt, n = field.grid.dt, field.grid.n_samples
     _check_rate(mean_rate, dt)
+    work = {} if work is None else work
+
+    def buffer(name: str, size: int, dtype: type = float) -> np.ndarray:
+        if work.get(name, np.empty(0)).size < size:  # made anew only when too short
+            work[name] = np.empty(size, dtype)
+        return work[name][:size]
     rng = np.random.default_rng(rng_seed)
-    intensity = field.intensity()
-    duration = field.grid.n_samples * dt
+    intensity = np.abs(field.amplitude, out=buffer("intensity", n))
+    intensity *= intensity
+    duration = n * dt
     peak = mean_rate * float(intensity.max())
     n_candidates = rng.poisson(peak * duration)
-    times = np.sort(rng.uniform(0.0, duration, size=n_candidates))
-    idx = np.minimum((times / dt).astype(np.int64), field.grid.n_samples - 1)
-    keep = rng.uniform(0.0, 1.0, size=n_candidates) * peak <= mean_rate * intensity[idx]
+    times = rng.random(out=buffer("times", n_candidates))
+    times *= duration  # uniform(0, duration), bit for bit
+    times.sort()
+    keep = buffer("keep", n_candidates, bool)
+    for start in range(0, n_candidates, _SLAB):  # uniforms drawn in pieces are one draw's bits
+        t = times[start : start + _SLAB]
+        idx = np.divide(t, dt, out=buffer("idx", t.size, np.int64), casting="unsafe")
+        u = rng.random(out=buffer("u", t.size))
+        u *= peak
+        # mode="clip" bounds idx by n - 1, and leaves ``out`` unbuffered
+        rate = np.take(intensity, idx, out=buffer("rate", t.size), mode="clip")
+        rate *= mean_rate
+        np.less_equal(u, rate, out=keep[start : start + _SLAB])
     return ClickStream(times=times[keep], duration=duration)
 
 
@@ -392,45 +404,54 @@ def g2_bin_edges(bin_width: float, max_delay: float) -> np.ndarray:
     return edges
 
 
-def g2_histogram(stream: ClickStream, bin_width: float, max_delay: float) -> G2Histogram:
-    """Histogram of all ordered pair delays up to ``max_delay``, normalized
-    by the mean bin content over delays in [0.8*max_delay, max_delay].
+def _check_plateau_pairs(n_clicks: float, rate: float, max_delay: float) -> None:
+    """InsufficientStatistics unless n_clicks clicks at ``rate`` expect 2,500 plateau pairs."""
+    expected = n_clicks * rate * (1.0 - PLATEAU_FRACTION) * max_delay
+    if expected < 2500.0:  # 1/sqrt(2500) = 2% relative error
+        raise InsufficientStatistics(
+            f"~{expected:.0f} plateau pairs expected; need >= 2500 for 2% normalization accuracy"
+        )
+
+
+def g2_histogram(chunks: Iterable[np.ndarray], duration: float, bin_width: float, max_delay: float) -> G2Histogram:
+    """Histogram of all ordered pair delays up to ``max_delay`` in one
+    stream over ``duration`` seconds, fed as ``chunks`` of click times,
+    normalized by the mean bin content over delays in [0.8*max_delay, max_delay].
 
     The bins are ``g2_bin_edges``.  The caller must pick max_delay >= 5
     correlation times, 5/(pi*gamma), so the plateau is flat (``run_g2``
     refuses a shorter range); the normalization region must hold enough
     pairs for < 2% relative error, otherwise InsufficientStatistics is
-    raised.
+    raised once the stream has ended.  Only clicks that a later one can pair
+    with, t_last - t <= max_delay (``_out_of_window``), are kept between chunks.
     """
     edges = g2_bin_edges(bin_width, max_delay)
-    times = stream.times
-    n = times.size
+    if not 0.0 < duration < math.inf:
+        raise OutOfRange(f"duration must be finite and positive, got {duration}")
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    kept, n = np.empty(0), 0
+    for chunk in chunks:
+        times = np.concatenate([kept, chunk])
+        if not np.all(np.diff(times) > 0.0):
+            raise OutOfRange("click times must be strictly increasing, within and across chunks")
+        delays = [np.empty(0)]  # of the pairs (j - offset, j), j in this chunk
+        for offset in range(1, times.size):
+            first = max(kept.size, offset)
+            d = times[first:] - times[first - offset : times.size - offset]
+            d = d[d <= max_delay]
+            if not d.size:
+                break
+            delays.append(d)
+        counts += np.histogram(np.concatenate(delays), bins=edges)[0]
+        n += times.size - kept.size
+        kept = times[_out_of_window(times, times[-1:], max_delay).sum() :]  # 0 if times is empty
     if n < 2:
         raise InsufficientStatistics("need at least two clicks")
-    rate = n / stream.duration
-    expected_plateau_pairs = n * rate * (1.0 - PLATEAU_FRACTION) * max_delay
-    if expected_plateau_pairs < 2500.0:  # 1/sqrt(2500) = 2% relative error
-        raise InsufficientStatistics(
-            f"~{expected_plateau_pairs:.0f} plateau pairs expected; need >= 2500 "
-            "for 2% normalization accuracy"
-        )
-    counts = np.zeros(edges.size - 1, dtype=np.int64)
-    offset = 1
-    while offset < n:
-        delays = times[offset:] - times[:-offset]
-        within = delays <= max_delay
-        if not np.any(within):
-            break
-        counts += np.histogram(delays[within], bins=edges)[0]
-        offset += 1
-    plateau_bins = edges[:-1] >= PLATEAU_FRACTION * max_delay
-    plateau = float(counts[plateau_bins].mean())
+    _check_plateau_pairs(n, n / duration, max_delay)
+    plateau = float(counts[edges[:-1] >= PLATEAU_FRACTION * max_delay].mean())
     if plateau <= 0.0:
         raise InsufficientStatistics("empty normalization plateau")
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return G2Histogram(
-        bin_centers=centers, g2=counts / plateau, counts=counts, plateau=plateau
-    )
+    return G2Histogram(bin_centers=0.5 * (edges[:-1] + edges[1:]), g2=counts / plateau, counts=counts, plateau=plateau)
 
 
 def _out_of_window(a: np.ndarray, t: np.ndarray, window: float) -> np.ndarray:

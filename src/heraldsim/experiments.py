@@ -18,10 +18,10 @@ reconstruct_samples tomography of an existing quadrature CSV
 ``run_g2`` and ``end_to_end`` get their clicks from one generator,
 ``_click_chunks``, which thins each chunk of one trigger field from
 ``clicks.thermal_field_chunks`` as it is made and yields its click times.
-``end_to_end`` feeds each chunk to a ``clicks.CoincidenceSelector`` on
-the calling thread as it arrives, so it holds pairs, never the whole
-run's clicks; ``run_g2`` histograms the clicks that ``_click_stream``
-joins into one stream.
+``end_to_end`` feeds each chunk to a ``clicks.CoincidenceSelector``, and
+``run_g2`` to ``clicks.g2_histogram``, on the calling thread as it
+arrives, so neither holds the whole run's clicks: only pairs, or delay
+counts and the clicks within g2_max_delay_ns of the last.
 
 The sweeps, panels and end-to-end bins build one ``_DelayScene`` per
 delay: the lossy Fock state and, keyed "g1", "g2", "f1" and "f2" (no f2
@@ -60,8 +60,8 @@ import numpy as np
 from . import __version__
 from .analytic import PhotonDistribution, apply_loss, fidelity_optimal, fixed_mode_distribution, g2_closed_form
 from .clicks import (
-    ClickStream,
     CoincidenceSelector,
+    _check_plateau_pairs,
     _check_rate,
     g2_bin_edges,
     g2_histogram,
@@ -98,9 +98,9 @@ FIELD_CHUNK_SAMPLES = 2**18
 # exhaust memory or raise a bare ValueError deep in a driver.
 MAX_ARRAY_LENGTH = 10**6
 # Most clicks a config may expect, g2_n_events or mean_rate_hz *
-# end_to_end_duration_s (the defaults expect 1e6 and 4e6).  g2 holds its
-# clicks' times in memory, twice while they are joined; end-to-end holds
-# only its pairs.
+# end_to_end_duration_s (the defaults expect 1e6 and 4e6).  Neither driver
+# holds its clicks: g2 keeps its delay counts, end-to-end its pairs, so the
+# bound is one of run time.
 MAX_CLICKS = 10**8
 # Largest gap the mode grid may leave between the discrete trigger overlap
 # and ``overlap_closed_form``: as |dF+/dI| <= 1, P2 then moves by at most
@@ -359,10 +359,10 @@ def _click_chunks(config: ExperimentConfig, duration: float) -> tuple[Iterator[n
 
     One field of n samples is made by ``thermal_field_chunks`` in
     ceil(n / FIELD_CHUNK_SAMPLES) even chunks, and each chunk is thinned
-    by ``sample_clicks`` on the calling thread before the next is
-    filtered.  The generator yields each chunk's click times, offset to
-    the chunk's start, while the helper thread draws the next chunk's
-    noise.  The times are bit-identical to calling
+    by ``sample_clicks`` on the calling thread, in one ``work`` dict of
+    arrays, before the next is filtered.  The generator yields each
+    chunk's click times, offset to the chunk's start, while the helper
+    thread draws the next chunk's noise.  The times are bit-identical to calling
     ``synthesize_thermal_field`` and then ``sample_clicks`` per chunk with
     the same seeds.  The duration is the whole field's; the spare seed
     feeds the caller's next random step.
@@ -379,20 +379,13 @@ def _click_chunks(config: ExperimentConfig, duration: float) -> tuple[Iterator[n
 
     def chunks() -> Iterator[np.ndarray]:
         fields = thermal_field_chunks(config.gamma_hz, dt_field, np.diff(bounds).tolist(), seeds[:-1:2])
+        work: dict = {}
         with contextlib.closing(fields):
             for k, field in enumerate(fields):
-                clicks = sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1])
+                clicks = sample_clicks(field, config.mean_rate_hz, seeds[2 * k + 1], work=work)
                 yield clicks.times + bounds[k] * dt_field
 
     return chunks(), n_chunks, n_samples * dt_field, seeds[-1]
-
-
-def _click_stream(config: ExperimentConfig, duration: float) -> tuple[ClickStream, int, int]:
-    """``_click_chunks`` joined into one stream: (stream, chunks, spare seed).
-    The field is freed before the times are joined, which copies them twice."""
-    chunks, n_chunks, duration, spare = _click_chunks(config, duration)
-    stream = ClickStream(times=np.concatenate(list(chunks)), duration=duration)
-    return stream, n_chunks, spare
 
 
 def _fit_states(config: ExperimentConfig, rhos: list[np.ndarray], seeds: list[int]) -> list[list[MLResult]]:
@@ -461,22 +454,32 @@ def run_g2(config: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     manifest.  Returns the summary dict.  Before any click, OutOfRange
     refuses bins that ``g2_bin_edges`` refuses and a g2_max_delay_ns below
     5 correlation times, 5/(pi*gamma), where the plateau that normalizes
-    g2 is not yet flat.
+    g2 is not yet flat, and InsufficientStatistics one whose g2_n_events
+    expect fewer than 2,500 plateau pairs.
     """
     g2_bin_edges(config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)  # refused before any click
     flat_ns = 5e9 / (math.pi * config.gamma_hz)
     if not config.g2_max_delay_ns >= flat_ns:
         raise OutOfRange(f"g2_max_delay_ns {config.g2_max_delay_ns:g} is below 5 correlation times, {flat_ns:.4g} ns")
-    stream, n_chunks, _ = _click_stream(config, config.g2_n_events / config.mean_rate_hz)
-    hist = g2_histogram(stream, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
+    _check_plateau_pairs(config.g2_n_events, config.mean_rate_hz, config.g2_max_delay_ns * 1e-9)
+    chunks, n_chunks, duration, _ = _click_chunks(config, config.g2_n_events / config.mean_rate_hz)
+    n_clicks = 0
+
+    def counted() -> Iterator[np.ndarray]:
+        nonlocal n_clicks
+        for times in chunks:
+            n_clicks += times.size
+            yield times
+    with contextlib.closing(chunks):
+        hist = g2_histogram(counted(), duration, config.g2_bin_ns * 1e-9, config.g2_max_delay_ns * 1e-9)
     theory = g2_closed_form(hist.bin_centers, config.gamma_hz)
     deviation = np.abs(hist.g2 - theory)
     table = np.column_stack([hist.bin_centers * 1e9, hist.g2, theory])
     summary = {
-        "n_clicks": int(len(stream)),
+        "n_clicks": n_clicks,
         # the number of field chunks
         "n_segments": n_chunks,
-        "duration_s": stream.duration,
+        "duration_s": duration,
         "g2_zero": float(hist.g2[0]),
         "max_abs_deviation": float(deviation.max()),
         "rms_deviation": float(np.sqrt(np.mean(deviation**2))),

@@ -162,3 +162,16 @@ def test_end_to_end_runs_read_their_configs(tmp_path):
         assert config == str(tmp_path / f"{name}.json")
         load_config(config)
     assert load_config(tmp_path / "selection.json").dead_time_ns == 0.0
+
+
+def test_trigger_run_reads_its_config(tmp_path):
+    # g2 at the perfbench trigger event count, with 0.6 ns bins and a seed
+    # other than the default
+    check_identity.write_configs(tmp_path)
+    (g2,) = check_identity.runs(tmp_path)["trigger"]
+    assert g2[3] == "g2"
+    assert g2[g2.index("--config") + 1] == str(tmp_path / "trigger.json")
+    assert g2[g2.index("--out") + 1] == f"{check_identity.OUT}/trigger"
+    config = load_config(tmp_path / "trigger.json")
+    assert (config.g2_n_events, config.g2_bin_ns) == (400_000, 0.6)
+    assert int(g2[g2.index("--seed") + 1]) != config.rng_seed

@@ -12,7 +12,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -24,6 +24,7 @@ from heraldsim.clicks import (
     _complex_normals,
     _field_recursion,
     _stationary_covariance,
+    g2_bin_edges,
     g2_histogram,
     sample_clicks,
     select_coincidences,
@@ -55,6 +56,10 @@ def impulse_response(mu_dt: float) -> tuple[float, float, np.ndarray]:
     return phi, sigma, phi ** (j - 1.0) * ((j + 1) * phi + j * theta)
 
 
+def intensity(field) -> np.ndarray:
+    return np.abs(field.amplitude) ** 2
+
+
 def poisson_stream(rate: float, duration: float, seed: int) -> ClickStream:
     """Homogeneous Poisson control stream."""
     rng = np.random.default_rng(seed)
@@ -62,6 +67,19 @@ def poisson_stream(rate: float, duration: float, seed: int) -> ClickStream:
     times = np.sort(rng.uniform(0.0, duration, size=n))
     times = times[np.concatenate([[True], np.diff(times) > 0.0])]
     return ClickStream(times=times, duration=duration)
+
+
+def reference_clicks(field, mean_rate: float, rng_seed: int) -> np.ndarray:
+    """The thinning as first written, every array made anew."""
+    rng = np.random.default_rng(rng_seed)
+    n, dt = field.grid.n_samples, field.grid.dt
+    rate = intensity(field)
+    peak = mean_rate * float(rate.max())
+    n_candidates = rng.poisson(peak * n * dt)
+    times = np.sort(rng.uniform(0.0, n * dt, size=n_candidates))
+    idx = np.minimum((times / dt).astype(np.int64), n - 1)
+    keep = rng.uniform(0.0, 1.0, size=n_candidates) * peak <= mean_rate * rate[idx]
+    return times[keep]
 
 
 @pytest.fixture(scope="module")
@@ -77,16 +95,16 @@ def click_field():
 class TestThermalField:
     def test_mean_intensity(self, field):
         # ~ 3e4 coherence cells: the realized mean fluctuates at the 0.6% level
-        assert np.mean(field.intensity()) == pytest.approx(1.0, abs=0.03)
+        assert np.mean(intensity(field)) == pytest.approx(1.0, abs=0.03)
 
     def test_thermal_second_moment(self, field):
         # circular Gaussian field: <I**2> = 2 <I>**2
-        assert np.mean(field.intensity() ** 2) == pytest.approx(2.0, abs=0.12)
+        assert np.mean(intensity(field) ** 2) == pytest.approx(2.0, abs=0.12)
 
     def test_intensity_exponential(self, field):
         # thin to ~1 sample per 60 ns so the draws are effectively independent
         step = int(round(60e-9 / DT_FIELD))
-        sub = field.intensity()[::step]
+        sub = intensity(field)[::step]
         sub = sub / sub.mean()
         d = stats.kstest(sub, "expon").statistic
         assert d * math.sqrt(sub.size) < 1.628  # 1% critical value
@@ -255,16 +273,38 @@ class TestSampleClicks:
         idx = np.minimum(
             (stream.times / DT_FIELD).astype(int), click_field.grid.n_samples - 1
         )
-        mean_at_clicks = float(np.mean(click_field.intensity()[idx]))
+        mean_at_clicks = float(np.mean(intensity(click_field)[idx]))
         # for a thermal beam the intensity at click times averages <I**2>/<I> ~ 2
         assert mean_at_clicks == pytest.approx(2.0, abs=0.15)
+
+    def test_reused_arrays_give_the_same_times(self):
+        # one work dict across chunks of falling and rising size: a smaller
+        # chunk after a larger one reads only a prefix of each array, and a
+        # chunk with more candidates than the arrays hold makes them anew;
+        # each chunk's times are those of a fresh call and of the former
+        # formula, bit for bit
+        fields = [
+            synthesize_thermal_field(GAMMA, samples * DT_FIELD, DT_FIELD, rng_seed=seed)
+            for samples, seed in ((2**17, 131), (5_000, 132), (2**17 + 7, 133))
+        ]
+        work: dict = {}
+        for k, (field, mean_rate) in enumerate(zip(fields, (5e7, 5e7, 1.5e8))):
+            before = {name: array for name, array in work.items()}
+            got = sample_clicks(field, mean_rate, rng_seed=140 + k, work=work).times
+            assert got.tobytes() == sample_clicks(field, mean_rate, rng_seed=140 + k).times.tobytes()
+            assert got.tobytes() == reference_clicks(field, mean_rate, rng_seed=140 + k).tobytes()
+            if k == 1:
+                assert all(work[name] is array for name, array in before.items())
+            if k == 2:
+                assert work["times"] is not before["times"]
+        assert work["times"].size > 3 * _SLAB  # the last chunk took several slabs
 
 
 class TestG2Histogram:
     def test_thermal_bunching_curve(self):
         field = synthesize_thermal_field(GAMMA, 4e-3, DT_FIELD, rng_seed=107)
         stream = sample_clicks(field, 5e7, rng_seed=108)
-        hist = g2_histogram(stream, bin_width=0.5e-9, max_delay=60e-9)
+        hist = g2_histogram([stream.times], stream.duration, bin_width=0.5e-9, max_delay=60e-9)
         theory = g2_closed_form(hist.bin_centers, GAMMA)
         assert hist.g2[0] == pytest.approx(2.0, abs=0.12)
         assert float(np.max(np.abs(hist.g2 - theory))) < 0.12
@@ -275,23 +315,23 @@ class TestG2Histogram:
 
     def test_poisson_stream_is_flat(self):
         stream = poisson_stream(5e7, 4e-3, seed=109)
-        hist = g2_histogram(stream, bin_width=0.5e-9, max_delay=60e-9)
+        hist = g2_histogram([stream.times], stream.duration, bin_width=0.5e-9, max_delay=60e-9)
         np.testing.assert_allclose(hist.g2, 1.0, atol=0.1)
 
     def test_insufficient_statistics(self):
         stream = poisson_stream(1e6, 1e-4, seed=110)
         with pytest.raises(InsufficientStatistics):
-            g2_histogram(stream, bin_width=0.5e-9, max_delay=60e-9)
+            g2_histogram([stream.times], stream.duration, bin_width=0.5e-9, max_delay=60e-9)
 
     def test_argument_guards(self):
         stream = poisson_stream(5e7, 1e-3, seed=111)
         with pytest.raises(OutOfRange):
-            g2_histogram(stream, bin_width=0.0, max_delay=60e-9)
+            g2_histogram([stream.times], stream.duration, bin_width=0.0, max_delay=60e-9)
         with pytest.raises(OutOfRange):
-            g2_histogram(stream, bin_width=1e-9, max_delay=0.5e-9)
+            g2_histogram([stream.times], stream.duration, bin_width=1e-9, max_delay=0.5e-9)
         for bin_width, max_delay in [(1e-9, math.nan), (1e-9, math.inf), (math.nan, 60e-9)]:
             with pytest.raises(OutOfRange):
-                g2_histogram(stream, bin_width=bin_width, max_delay=max_delay)
+                g2_histogram([stream.times], stream.duration, bin_width=bin_width, max_delay=max_delay)
 
     @pytest.mark.parametrize(
         "bin_width, max_delay",
@@ -304,7 +344,99 @@ class TestG2Histogram:
         # is the mean of nothing
         stream = poisson_stream(5e7, 4e-3, seed=112)
         with pytest.raises(OutOfRange):
-            g2_histogram(stream, bin_width=bin_width, max_delay=max_delay)
+            g2_histogram([stream.times], stream.duration, bin_width=bin_width, max_delay=max_delay)
+
+
+MAX_DELAY = 60.0 * 1e-9  # as run_g2 scales g2_max_delay_ns
+
+
+def reference_g2_counts(times: np.ndarray, edges: np.ndarray, max_delay: float) -> np.ndarray:
+    """The pair-delay counts of the joined stream, offset by offset, as
+    ``g2_histogram`` first counted them."""
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    for offset in range(1, times.size):
+        delays = times[offset:] - times[:-offset]
+        within = delays <= max_delay
+        if not np.any(within):
+            break
+        counts += np.histogram(delays[within], bins=edges)[0]
+    return counts
+
+
+def edge_example(bin_ns: float) -> tuple[np.ndarray, list[int], float, float]:
+    """Clicks at 0, 1, 2 and 4 times MAX_DELAY, so two delays are exactly
+    MAX_DELAY (one across a cut), among 600 others; an empty and a
+    one-click chunk follow the cut."""
+    times = np.unique(np.concatenate([MAX_DELAY * np.array([0.0, 1.0, 2.0, 4.0]), np.linspace(0.1e-9, 0.5e-6, 600)]))
+    at = int(np.searchsorted(times, MAX_DELAY))
+    return times, [0, at, at, at + 1, times.size], 0.5e-6, bin_ns
+
+
+@st.composite
+def chunked_streams(draw):
+    """A dense click stream over ``span`` seconds, about a click per
+    nanosecond so that the plateau check passes, cut into chunks.  Besides
+    uniform clicks it holds a grid of MAX_DELAY / q (q = 1 puts delays on
+    MAX_DELAY itself), all after an offset of 0 or 0.08 s; the random cuts
+    always include an empty and a one-click chunk."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    span = draw(st.floats(0.4e-6, 0.7e-6))
+    step = MAX_DELAY / draw(st.sampled_from([1, 3, 7, 40]))
+    grid = step * np.arange(int(span / step))
+    times = np.concatenate([rng.uniform(0.0, span, size=draw(st.integers(500, 800))), grid])
+    times = np.unique(times + draw(st.sampled_from([0.0, 0.08])))
+    at = draw(st.integers(0, times.size - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, times.size), max_size=6)) + [at, at, at + 1])
+    return times, [0, *cuts, times.size], span, draw(st.sampled_from([0.5, 0.6]))
+
+
+class TestG2Counter:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(chunked_streams())
+    @example(edge_example(0.5))
+    @example(edge_example(0.6))
+    def test_chunks_match_the_joined_stream(self, case):
+        times, bounds, duration, bin_ns = case
+        edges = g2_bin_edges(bin_ns * 1e-9, MAX_DELAY)
+        # at 0.5 ns the last edge is max_delay; at 0.6 ns it is one ulp
+        # below, so a delay of exactly max_delay passes the filter and falls
+        # outside every bin
+        assert edges[-1] == (MAX_DELAY if bin_ns == 0.5 else np.nextafter(MAX_DELAY, 0.0))
+        want = reference_g2_counts(times, edges, MAX_DELAY)
+        one = g2_histogram([times], duration, bin_ns * 1e-9, MAX_DELAY)
+        chunks = (times[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        got = g2_histogram(chunks, duration, bin_ns * 1e-9, MAX_DELAY)
+        for hist in (one, got):
+            assert hist.counts.tobytes() == want.tobytes()
+            assert hist.g2.tobytes() == (want / hist.plateau).tobytes()
+        assert got.plateau == one.plateau
+
+    def test_delays_on_max_delay(self):
+        # the reference counts the exact delay max_delay in the last bin at
+        # 0.5 ns and drops it at 0.6 ns, so the examples above test both
+        probe = MAX_DELAY * np.array([0.0, 1.0, 2.0])
+        assert np.all(np.isin(probe, edge_example(0.5)[0]))
+        assert np.all(np.diff(probe) == MAX_DELAY)
+        last = {}
+        for bin_ns in (0.5, 0.6):
+            edges = g2_bin_edges(bin_ns * 1e-9, MAX_DELAY)
+            last[bin_ns] = reference_g2_counts(probe, edges, MAX_DELAY)[-1]
+        assert last == {0.5: 2, 0.6: 0}
+
+    def test_unordered_chunks_rejected(self):
+        for chunks in (
+            [np.array([1e-6, 2e-6]), np.array([2e-6, 3e-6])],  # a repeat across the cut
+            [np.array([1e-6, 2e-6]), np.array([1.5e-6, 3e-6])],  # back in time across the cut
+            [np.array([1e-6, 2e-6]), np.array([]), np.array([1.5e-6])],  # across an empty chunk
+            [np.array([2e-6, 1e-6])],  # within one chunk
+        ):
+            with pytest.raises(OutOfRange):
+                g2_histogram(chunks, 1e-5, 0.5e-9, MAX_DELAY)
+
+    def test_duration_guard(self):
+        for duration in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(OutOfRange):
+                g2_histogram([np.array([1e-9, 2e-9])], duration, 0.5e-9, MAX_DELAY)
 
 
 class TestSelectCoincidences:

@@ -42,7 +42,7 @@ from heraldsim.experiments import (
     FIELD_CHUNK_SAMPLES,
     ExperimentConfig,
     _build_scene,
-    _click_stream,
+    _click_chunks,
     _derive_seeds,
     config_hash,
     end_to_end,
@@ -361,16 +361,36 @@ class TestRunG2:
         sa.pop("csv"), sb.pop("csv")
         assert sa == sb
 
+    def test_peak_memory_does_not_grow_with_clicks(self, tmp_path, monkeypatch):
+        # pair delays are counted chunk by chunk, so six times the clicks
+        # add only the clicks within g2_max_delay_ns of the last and the
+        # thinning arrays of the largest chunk; joined, the clicks would
+        # cost at least 16 B each.  Small field chunks keep the two field
+        # buffers from hiding them.
+        monkeypatch.setattr(experiments, "FIELD_CHUNK_SAMPLES", 2**16)
+        peaks, clicks = [], []
+        for n_events in (50_000, 300_000):
+            config = dataclasses.replace(self.CFG, g2_n_events=n_events)
+            tracemalloc.start()
+            try:
+                summary = run_g2(config, tmp_path / str(n_events))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            clicks.append(summary["n_clicks"])
+        assert peaks[1] - peaks[0] <= 2 * (clicks[1] - clicks[0])
+
 
 class TestClickStream:
     def test_chunks_cover_duration(self):
         dt = TINY.field_dt_ns * 1e-9
         n_samples = 2 * FIELD_CHUNK_SAMPLES + 3
-        stream, n_chunks, _ = _click_stream(TINY, n_samples * dt)
+        chunks, n_chunks, duration, _ = _click_chunks(TINY, n_samples * dt)
+        times = np.concatenate(list(chunks))
         assert n_chunks == 3
-        assert stream.duration == pytest.approx(n_samples * dt, rel=1e-15)
+        assert duration == pytest.approx(n_samples * dt, rel=1e-15)
         # clicks spread over every chunk, the last included
-        assert stream.times[-1] > (n_samples - 0.01 * FIELD_CHUNK_SAMPLES) * dt
+        assert times[-1] > (n_samples - 0.01 * FIELD_CHUNK_SAMPLES) * dt
 
     def test_fine_grid_chunks_span_a_fresh_field(self, monkeypatch):
         # at 4 ps, 100/gamma is about 471,698.1 samples, more than one
@@ -379,12 +399,13 @@ class TestClickStream:
         config = dataclasses.replace(TINY, field_dt_ns=0.004)
         sizes = _record_chunk_sizes(monkeypatch)
         duration = 2 * 100.0 / config.gamma_hz
-        stream, n_chunks, _ = _click_stream(config, duration)
+        chunks, n_chunks, got, _ = _click_chunks(config, duration)
+        list(chunks)
         assert n_chunks == len(sizes) == 4
         assert max(sizes) <= FIELD_CHUNK_SAMPLES
-        assert stream.duration == pytest.approx(duration, abs=config.field_dt_ns * 1e-9)
+        assert got == pytest.approx(duration, abs=config.field_dt_ns * 1e-9)
         with pytest.raises(DurationTooShort):
-            _click_stream(config, 0.9 * 100.0 / config.gamma_hz)
+            next(_click_chunks(config, 0.9 * 100.0 / config.gamma_hz)[0])
 
     def test_slow_field_chunks_stay_bounded(self, monkeypatch):
         # at 1e4 Hz, 100/gamma is 2e7 samples of 0.5 ns; chunks must still
@@ -392,22 +413,23 @@ class TestClickStream:
         # and is never written)
         sizes = _record_chunk_sizes(monkeypatch, stop_after=1)
         with pytest.raises(_Stop):
-            _click_stream(dataclasses.replace(TINY, gamma_hz=1e4), 0.02)
+            next(_click_chunks(dataclasses.replace(TINY, gamma_hz=1e4), 0.02)[0])
         assert len(sizes) == 1 and sizes[0] <= FIELD_CHUNK_SAMPLES
 
     def test_peak_memory_does_not_grow_with_duration(self):
-        # the field lives one chunk at a time: a six times longer stream
-        # adds only its click times to the peak
+        # the field lives one chunk at a time, and so do its clicks when
+        # the caller drops them: a six times longer stream adds at most
+        # its click times to the peak
         dt = TINY.field_dt_ns * 1e-9
         peaks, lengths = [], []
         for n_chunks in (2, 12):
             tracemalloc.start()
             try:
-                stream, _, _ = _click_stream(TINY, n_chunks * FIELD_CHUNK_SAMPLES * dt)
+                chunks, _, _, _ = _click_chunks(TINY, n_chunks * FIELD_CHUNK_SAMPLES * dt)
+                lengths.append(sum(times.size for times in chunks))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            lengths.append(len(stream))
         chunk_bytes = 16 * FIELD_CHUNK_SAMPLES  # one complex128 chunk
         assert peaks[0] < 5 * chunk_bytes
         assert peaks[1] < peaks[0] + 32 * lengths[1]
@@ -417,7 +439,8 @@ class TestClickStream:
         # thin it, each from its own seed
         dt = TINY.field_dt_ns * 1e-9
         n_samples = 2 * FIELD_CHUNK_SAMPLES + 3
-        stream, n_chunks, spare = _click_stream(TINY, n_samples * dt)
+        chunks, n_chunks, _, spare = _click_chunks(TINY, n_samples * dt)
+        got = np.concatenate(list(chunks))
         assert n_chunks == 3
         seeds = _derive_seeds(TINY.rng_seed, 2 * n_chunks + 1)
         bounds = [n_samples * k // n_chunks for k in range(n_chunks + 1)]
@@ -429,12 +452,12 @@ class TestClickStream:
             clicks = sample_clicks(field, TINY.mean_rate_hz, seeds[2 * k + 1])
             times.append(clicks.times + bounds[k] * dt)
         assert spare == seeds[-1]
-        assert stream.times.tobytes() == np.concatenate(times).tobytes()
+        assert got.tobytes() == np.concatenate(times).tobytes()
 
     def test_helper_thread_is_joined(self, monkeypatch):
         dt = TINY.field_dt_ns * 1e-9
         before = threading.active_count()
-        _click_stream(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)
+        list(_click_chunks(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)[0])
         assert threading.active_count() == before
         # thinning chunk 0 raises while chunk 1 is still being drawn
         drawn = []
@@ -449,14 +472,14 @@ class TestClickStream:
 
         monkeypatch.setattr(clicks, "_innovations", slow_innovations)
 
-        def too_fast(field, mean_rate, rng_seed):
+        def too_fast(field, mean_rate, rng_seed, **kwargs):
             # rate * dt = 0.5; _click_chunks refuses that before any draw,
             # so here only the thinning sees it
-            return clicks.sample_clicks(field, 1e9, rng_seed)
+            return clicks.sample_clicks(field, 1e9, rng_seed, **kwargs)
 
         monkeypatch.setattr(experiments, "sample_clicks", too_fast)
         with pytest.raises(RateTooHigh):
-            _click_stream(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)
+            list(_click_chunks(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)[0])
         assert len(drawn) == 2  # chunk 1 finished before the error left
         assert threading.active_count() == before
 
@@ -474,7 +497,8 @@ class TestClickStream:
             if callable(fn):
                 monkeypatch.setattr(module, probe.attr, _recording(fn, probe.attr, calls))
         dt = TINY.field_dt_ns * 1e-9
-        _, n_chunks, _ = _click_stream(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)
+        chunks, n_chunks, _, _ = _click_chunks(TINY, 3 * FIELD_CHUNK_SAMPLES * dt)
+        list(chunks)
         assert [name for name, _ in calls].count("sample_clicks") == n_chunks == 3
         assert {thread for _, thread in calls} == {threading.main_thread()}
 
@@ -1032,10 +1056,17 @@ class TestCli:
             # mean_rate_hz * field_dt_ns = 0.5, beyond the thinning's bound 0.1
             ("g2", '{"mean_rate_hz": 1e9}', "RateTooHigh", ("mean_rate*dt_field",)),
             ("end-to-end", '{"mean_rate_hz": 1e9}', "RateTooHigh", ("mean_rate*dt_field",)),
+            # 1e5 clicks at 1 MHz expect 1e5 * 1e6 * 0.2 * 60 ns = 1,200 plateau pairs
+            (
+                "g2",
+                '{"mean_rate_hz": 1e6, "g2_n_events": 100000}',
+                "InsufficientStatistics",
+                ("~1200 plateau pairs", "need >= 2500"),
+            ),
         ],
         ids=[
             "g2_bin_40ns", "g2_bin_0.7ns", "g2_range_10ns", "sweep_delay", "sweep_fixed", "fock_panels",
-            "end_to_end", "sweep_delay_degenerate", "g2_rate", "end_to_end_rate",
+            "end_to_end", "sweep_delay_degenerate", "g2_rate", "end_to_end_rate", "g2_thin_plateau",
         ],
     )
     def test_config_failure_precedes_every_draw(self, tmp_path, capsys, monkeypatch, command, raw, error, says):
