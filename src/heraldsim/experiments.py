@@ -362,9 +362,9 @@ def _click_chunks(config: ExperimentConfig, duration: float) -> tuple[Iterator[n
     by ``sample_clicks`` on the calling thread, in one ``work`` dict of
     arrays, before the next is filtered.  The generator yields each
     chunk's click times, offset to the chunk's start, while the helper
-    thread draws the next chunk's noise.  The times are bit-identical to calling
-    ``synthesize_thermal_field`` and then ``sample_clicks`` per chunk with
-    the same seeds.  The duration is the whole field's; the spare seed
+    thread draws the next chunk's noise.  The times are bit-identical to
+    calling ``synthesize_thermal_field`` and then ``sample_clicks`` per
+    chunk with the same seeds.  The duration is the whole field's; the spare seed
     feeds the caller's next random step.
     """
     dt_field = config.field_dt_ns * 1e-9

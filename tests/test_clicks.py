@@ -289,7 +289,7 @@ class TestSampleClicks:
         ]
         work: dict = {}
         for k, (field, mean_rate) in enumerate(zip(fields, (5e7, 5e7, 1.5e8))):
-            before = {name: array for name, array in work.items()}
+            before = dict(work)
             got = sample_clicks(field, mean_rate, rng_seed=140 + k, work=work).times
             assert got.tobytes() == sample_clicks(field, mean_rate, rng_seed=140 + k).times.tobytes()
             assert got.tobytes() == reference_clicks(field, mean_rate, rng_seed=140 + k).tobytes()
