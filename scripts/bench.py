@@ -12,9 +12,13 @@ in even pairs and head first in odd ones, because a shared host drifts
 over minutes.  The JSON written to
 ``--out`` holds, per workload and end-to-end metric, each side's median
 and quartiles over the pairs, the number of pairs each side won (ties
-count for neither), the operations attempted and failed, whether every
-run reported ``correct``, and every run's numbers; plus the machine, the
-versions perfbench recorded and both shas.
+count for neither), its verdict, the operations attempted and failed,
+whether every run reported ``correct``, and every run's numbers; plus the
+machine, the versions perfbench recorded and both shas.  The verdict is
+two flags: ``gain`` when head won at least 9 in 10 of the pairs and its
+median beats base's by more than base's quartile spread, and
+``regressed`` when head's median is worse than base's by more than the
+metric's relative ``bound`` in BENCHMARK.json.
 
 Usage:
     python scripts/bench.py BASE [HEAD] --out BENCH_<n>.json
@@ -41,6 +45,7 @@ from check_identity import ROOT, export, rev_parse
 
 PAIRS = 10
 SEED = 1  # seed of pair 0; pair k uses SEED + k
+GAIN_SHARE = 0.9  # share of the pairs a gain must win
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -73,23 +78,33 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles and the pairs it won.
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
+    """Per metric: each side's median and quartiles, the pairs it won and
+    the verdict.
 
     ``pairs`` holds {"base": run, "head": run} entries; ``better`` maps a
-    metric name to "lower" or "higher".
+    metric name to "lower" or "higher", and ``bounds`` to the largest
+    relative worsening of head's median that is not a regression
+    (``regressed`` is None for a metric without a bound).
     """
+    bounds = bounds or {}
     metrics = {}
     for name, direction in better.items():
         base = [p["base"]["metrics"][name] for p in pairs]
         head = [p["head"]["metrics"][name] for p in pairs]
         sign = 1.0 if direction == "lower" else -1.0
+        b, h = quartiles(base), quartiles(head)
+        head_won = sum(sign * (y - x) < 0 for x, y in zip(base, head))
+        worse_by = sign * (h["median"] - b["median"])
+        bound = bounds.get(name)
         metrics[name] = {
             "better": direction,
-            "base": quartiles(base),
-            "head": quartiles(head),
-            "head_won": sum(sign * (h - b) < 0 for b, h in zip(base, head)),
-            "base_won": sum(sign * (h - b) > 0 for b, h in zip(base, head)),
+            "base": b,
+            "head": h,
+            "head_won": head_won,
+            "base_won": sum(sign * (y - x) > 0 for x, y in zip(base, head)),
+            "gain": head_won >= GAIN_SHARE * len(pairs) and -worse_by > b["q3"] - b["q1"],
+            "regressed": None if bound is None else worse_by > bound * abs(b["median"]),
         }
     sides = {
         side: {
@@ -112,6 +127,7 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     report = {
         "base_sha": shas["base"],
         "head_sha": shas["head"],
@@ -136,12 +152,13 @@ def main() -> int:
                     pair[side] = run_once(checkouts[side], workload, SEED + k, seconds)
                 pairs.append(pair)
             report["versions"] = {side: pairs[-1][side]["versions"] for side in ("base", "head")}
-            report["workloads"][workload] = {**summarize(pairs, better), "runs": pairs}
+            report["workloads"][workload] = {**summarize(pairs, better, bounds), "runs": pairs}
             Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload:9s} {name:12s} base {m['base']['median']:.4g} "
-                  f"head {m['head']['median']:.4g}  head won {m['head_won']}/{entry['pairs']}",
+                  f"head {m['head']['median']:.4g}  head won {m['head_won']}/{entry['pairs']}  "
+                  f"gain {m['gain']}  regressed {m['regressed']}",
                   file=sys.stderr)
     return 0
 

@@ -20,12 +20,13 @@ two-stage pipeline over two chunk buffers made once: a chunk's white
 noise and MA(1) step need only the last normal of the chunk before, so a
 helper thread draws chunk k+1's while the calling thread filters chunk k
 and thins it.  Per 2^18-sample chunk on a 2-vCPU Xeon host, the helper
-spends about 8.2 ms in ``_innovations`` while the calling thread spends
-2 x 2.7 ms in ``_scan`` and 2.3 ms in ``sample_clicks``, which reuses one
-set of arrays from chunk to chunk; Generator fills and numpy loops release
-the GIL.  A caller's own work on a chunk runs on the calling thread too:
-coincidence selection about 1.2 ms, and g2's pair count about 0.5 ms.
-``synthesize_thermal_field`` is its one-chunk case.
+spends about 8.1 ms in ``_innovations`` while the calling thread spends
+2 x 2.7 ms in ``_scan`` and 2.3 ms in ``sample_clicks``; Generator fills
+and numpy loops release the GIL.  Beside the two 4 MiB chunk buffers the
+steps hold only arrays of a slab or of the chunk's candidate clicks, no
+copy of a chunk.  A caller's own work on a chunk runs on the calling
+thread too: coincidence selection about 1.2 ms, and g2's pair count
+about 0.5 ms.  ``synthesize_thermal_field`` is its one-chunk case.
 
 For a thermal intensity the Siegert relation gives
 g2(tau) = 1 + |g1(tau)|**2, so g2(0) = 2.
@@ -94,7 +95,10 @@ class ClickStream:
         t = np.asarray(self.times, dtype=float).view()
         if t.ndim != 1:
             raise OutOfRange("click times must be a 1-d array")
-        if t.size and (np.any(np.diff(t) <= 0.0) or t[0] < 0.0 or t[-1] >= self.duration):
+        # each check holds only for numbers, so a NaN fails it
+        if not self.duration >= 0.0:
+            raise OutOfRange(f"click stream duration must be non-negative, got {self.duration}")
+        if t.size and not (t[0] >= 0.0 and t[-1] < self.duration and np.all(np.diff(t) > 0.0)):
             raise OutOfRange("click times must be strictly increasing within [0, duration)")
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
@@ -163,11 +167,13 @@ def _scan(u: np.ndarray, decay: float, start: complex) -> complex:
     Blocks of _SCAN_BLOCK samples are scanned at once from a zero start,
     y_j = exp(-decay*j) * cumsum(exp(decay*i) u_i), then each block adds
     its start carried in from the block before (a Python loop over the
-    blocks), _SLAB samples at a time so that no temporary spans ``u``.
+    blocks), _SLAB samples at a time through one product buffer made per
+    call, so that no temporary spans ``u`` and none is made per slab.
     decay*_SCAN_BLOCK <= 40 at the ResolutionTooCoarse limit, so the
     factors' relative rounding stays near 40 machine epsilons.
     """
     body = u.size - u.size % _SCAN_BLOCK
+    product = np.empty(min(u.size, _SLAB), dtype=complex)
     for blocks in (u[:body].reshape(-1, _SCAN_BLOCK), u[body:].reshape(1, -1)):
         if blocks.size == 0:
             continue
@@ -184,7 +190,8 @@ def _scan(u: np.ndarray, decay: float, start: complex) -> complex:
         carry, fall = np.array(starts), np.exp(-decay * (j + 1))
         rows = max(1, _SLAB // width)
         for r in range(0, len(carry), rows):
-            blocks[r : r + rows] += np.multiply.outer(carry[r : r + rows], fall)
+            outer = product[: min(rows, len(carry) - r) * width].reshape(-1, width)
+            blocks[r : r + rows] += np.multiply.outer(carry[r : r + rows], fall, out=outer)
     return start
 
 
@@ -205,7 +212,8 @@ def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev
     noise.
 
     The step runs in place from the end, _SLAB samples at a time, so each
-    slab reads e values not yet overwritten and no temporary spans ``out``.
+    slab reads e values not yet overwritten; theta*e_{k-1} goes to one
+    slab buffer made per call, so no temporary spans ``out``.
     Needs no state but ``e_prev``, so the next chunk's innovations can be
     drawn while this chunk is filtered.
     """
@@ -214,10 +222,11 @@ def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev
     rng.standard_normal(out=out.view(np.float64))
     out *= math.sqrt(0.5)
     e_last = complex(out[-1])
+    lagged = np.empty(min(n, _SLAB), dtype=complex)
     for stop in range(n, 1, -_SLAB):
         start = max(1, stop - _SLAB)
         slab = out[start:stop]
-        slab += theta * out[start - 1 : stop - 1]
+        slab += np.multiply(theta, out[start - 1 : stop - 1], out=lagged[: stop - start])
         slab *= sigma
     out[:1] += theta * e_prev
     out[:1] *= sigma
@@ -340,7 +349,9 @@ def _check_rate(mean_rate: float, dt_field: float) -> None:
 def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int, *, work: dict | None = None) -> ClickStream:
     """Cox-process clicks: thin a homogeneous Poisson stream at the peak
     rate ``mean_rate * max(intensity)`` down to rate(t) = mean_rate * |a(t)|**2.
-    Calls that share one ``work`` dict reuse its arrays, with the same times.
+    The peak is read slab by slab and each candidate's rate computed from
+    its gathered amplitude, so no intensity array spans the field.  Calls
+    that share one ``work`` dict reuse its arrays, with the same times.
 
     Raises
     ------
@@ -357,10 +368,12 @@ def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int, *, work: d
             work[name] = np.empty(size, dtype)
         return work[name][:size]
     rng = np.random.default_rng(rng_seed)
-    intensity = np.abs(field.amplitude, out=buffer("intensity", n))
-    intensity *= intensity
+    a = field.amplitude
+    # the peak slab by slab: rounding is monotone, so fl(max|a|)**2 = max fl(|a|**2)
+    slabs = [a[s : s + _SLAB] for s in range(0, n, _SLAB)]
+    m = max(float(np.abs(slab, out=buffer("rate", slab.size)).max()) for slab in slabs)
     duration = n * dt
-    peak = mean_rate * float(intensity.max())
+    peak = mean_rate * (m * m)
     n_candidates = rng.poisson(peak * duration)
     times = rng.random(out=buffer("times", n_candidates))
     times *= duration  # uniform(0, duration), bit for bit
@@ -372,7 +385,9 @@ def sample_clicks(field: FieldTrace, mean_rate: float, rng_seed: int, *, work: d
         u = rng.random(out=buffer("u", t.size))
         u *= peak
         # mode="clip" bounds idx by n - 1, and leaves ``out`` unbuffered
-        rate = np.take(intensity, idx, out=buffer("rate", t.size), mode="clip")
+        amp = np.take(a, idx, out=buffer("amp", t.size, complex), mode="clip")
+        rate = np.abs(amp, out=buffer("rate", t.size))
+        rate *= rate
         rate *= mean_rate
         np.less_equal(u, rate, out=keep[start : start + _SLAB])
     return ClickStream(times=times[keep], duration=duration)

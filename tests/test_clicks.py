@@ -299,6 +299,15 @@ class TestSampleClicks:
                 assert work["times"] is not before["times"]
         assert work["times"].size > 3 * _SLAB  # the last chunk took several slabs
 
+    def test_work_holds_no_chunk_wide_array(self):
+        # the peak is taken slab by slab and the rate gathered from the
+        # amplitude, so no intensity copy spans the field
+        n = 2**18
+        field = synthesize_thermal_field(GAMMA, n * DT_FIELD, DT_FIELD, rng_seed=134)
+        work: dict = {}
+        sample_clicks(field, 5e7, rng_seed=143, work=work)
+        assert work and max(array.size for array in work.values()) < n
+
 
 class TestG2Histogram:
     def test_thermal_bunching_curve(self):
@@ -619,6 +628,14 @@ class TestStreamValidation:
     def test_rejects_out_of_range(self):
         with pytest.raises(OutOfRange):
             ClickStream(times=np.array([2e-5]), duration=1e-5)
+
+    @pytest.mark.parametrize(
+        ("times", "duration"),
+        [([1e-6, math.nan, 3e-6], 1e-5), ([math.nan], 1e-5), ([1e-6], math.nan), ([], math.nan)],
+    )
+    def test_rejects_nan(self, times, duration):
+        with pytest.raises(OutOfRange):
+            ClickStream(times=np.array(times, dtype=float), duration=duration)
 
     def test_keeps_a_read_only_view(self):
         times = np.array([1e-6, 2e-6, 3e-6])
