@@ -60,7 +60,7 @@ BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # quartile spr
 
 def test_gain_needs_nine_of_ten_pairs_and_a_gap_beyond_the_spread():
     clear = [b - 1.0 for b in BASE]
-    gap_in_spread = [b - 0.1 for b in BASE]  # wins all ten, by less than 0.2
+    gap_in_spread = [b - 0.1 for b in BASE]  # wins all ten, by less than the spread
     eight_wins = clear[:8] + [b + 1.0 for b in BASE[8:]]
     nine_wins = clear[:9] + [BASE[9]]  # a tie counts for neither side
     verdicts = {
