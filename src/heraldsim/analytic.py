@@ -25,11 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ExpansionInvalid, OutOfRange, UnsupportedSupport
-from .modes import _check_gamma, overlap_closed_form
-
-# Validity edge for the small-delay expansions, in units of pi*gamma*|delta_t|.
-EXPANSION_MAX_X = 0.5
+from .errors import OutOfRange, UnsupportedSupport
+from .modes import overlap_closed_form
 
 
 @dataclass(frozen=True)
@@ -42,9 +39,10 @@ class PhotonDistribution:
         p = np.asarray(self.probs, dtype=float).copy()
         if p.ndim != 1 or p.size == 0:
             raise OutOfRange("photon distribution must be a non-empty 1-d array")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+        # written so that NaN fails them
+        if not (np.all(p >= -1e-12) and np.all(p <= 1.0 + 1e-12)):
             raise OutOfRange(f"probabilities outside [0,1]: {p}")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise OutOfRange(f"probabilities sum to {float(p.sum())!r}, not 1")
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
@@ -80,40 +78,6 @@ def fidelity_optimal(ov: float) -> tuple[float, float]:
     corr = ov / (1.0 + ov * ov)
     f_plus = 0.5 + corr
     return f_plus, 1.0 - f_plus
-
-
-def fidelity_smalldelay_adapted(delta_t: float, gamma: float) -> float:
-    """Leading small-delay behaviour of F+: 1 - (pi*gamma*delta_t/2)**4.
-
-    The correction is fourth order: adapting the analysis mode to both
-    trigger times makes the fidelity loss quartic in the separation.  With
-    x = pi*gamma*|delta_t|, the overlap depends on |delta_t|, so the first
-    correction is odd: the exact deficit is (x/2)**4 * (1 - 4x/3 + O(x**2)).
-    The leading form is within 5 % of the exact deficit only for
-    x <= 0.039092.  Valid for x < 0.5; raises ExpansionInvalid beyond.
-    """
-    _check_gamma(gamma)
-    x = math.pi * gamma * abs(delta_t)
-    if x >= EXPANSION_MAX_X:
-        raise ExpansionInvalid(f"pi*gamma*|delta_t| = {x:.3f} >= {EXPANSION_MAX_X}")
-    return 1.0 - (x / 2.0) ** 4
-
-
-def fidelity_smalldelay_fixed(delta_t: float, gamma: float) -> float:
-    """Leading small-delay behaviour of the fixed-mode two-photon weight:
-    1 - (pi*gamma*delta_t/sqrt(2))**2.
-
-    The correction is only second order: a mode locked to one trigger time
-    degrades quadratically with the separation.  With x = pi*gamma*|delta_t|,
-    the exact deficit is (x/sqrt(2))**2 * (1 - 2x/3 + O(x**2)), so the leading
-    form is within 5 % of it only for x <= 0.079447.  Valid for x < 0.5;
-    raises ExpansionInvalid beyond.
-    """
-    _check_gamma(gamma)
-    x = math.pi * gamma * abs(delta_t)
-    if x >= EXPANSION_MAX_X:
-        raise ExpansionInvalid(f"pi*gamma*|delta_t| = {x:.3f} >= {EXPANSION_MAX_X}")
-    return 1.0 - 0.5 * x * x
 
 
 def fixed_mode_distribution(ov: float) -> PhotonDistribution:

@@ -26,7 +26,7 @@ and numpy loops release the GIL.  Beside the two 4 MiB chunk buffers the
 steps hold only arrays of a slab or of the chunk's candidate clicks, no
 copy of a chunk.  A caller's own work on a chunk runs on the calling
 thread too: coincidence selection about 1.2 ms, and g2's pair count
-about 0.5 ms.  ``synthesize_thermal_field`` is its one-chunk case.
+about 0.5 ms.
 
 For a thermal intensity the Siegert relation gives
 g2(tau) = 1 + |g1(tau)|**2, so g2(0) = 2.
@@ -68,7 +68,7 @@ class FieldTrace:
     """Complex field amplitude on a (coarse) grid, unit mean intensity.
 
     ``state`` is the recursion state after the last sample; passing it to
-    ``synthesize_thermal_field`` continues the same field.  The amplitude
+    ``thermal_field_chunks`` continues the same field.  The amplitude
     is kept as a read-only view, not copied.
     """
 
@@ -233,11 +233,6 @@ def _innovations(rng: np.random.Generator, out: np.ndarray, mu_dt: float, e_prev
     return e_last
 
 
-def _check_field_step(dt_field: float) -> None:
-    if not (math.isfinite(dt_field) and dt_field > 0.0):
-        raise OutOfRange(f"field step must be positive, got {dt_field}")
-
-
 def thermal_field_chunks(
     gamma: float,
     dt_field: float,
@@ -279,7 +274,8 @@ def thermal_field_chunks(
     """
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise OutOfRange(f"bandwidth must be positive, got {gamma}")
-    _check_field_step(dt_field)
+    if not (math.isfinite(dt_field) and dt_field > 0.0):
+        raise OutOfRange(f"field step must be positive, got {dt_field}")
     if dt_field > 1.0 / (20.0 * gamma):
         raise ResolutionTooCoarse(
             f"dt_field {dt_field:.3e} s > 1/(20*gamma) = {1.0 / (20.0 * gamma):.3e} s"
@@ -310,23 +306,6 @@ def thermal_field_chunks(
             yield FieldTrace(grid=grid, amplitude=u, state=(e_last, y_last, x_last))
             if k + 1 < len(sizes):
                 e_last = pending.result()
-
-
-def synthesize_thermal_field(
-    gamma: float,
-    duration: float,
-    dt_field: float,
-    rng_seed: int,
-    state: tuple[complex, complex, complex] | None = None,
-) -> FieldTrace:
-    """``thermal_field_chunks`` over ``duration`` seconds as one chunk, its
-    noise from ``rng_seed``; ``state`` and the limits are as there."""
-    _check_field_step(dt_field)
-    n_samples = duration / dt_field
-    if not (math.isfinite(n_samples) and n_samples >= 0.0):
-        raise OutOfRange(f"duration must be finite and non-negative, got {duration}")
-    (trace,) = thermal_field_chunks(gamma, dt_field, [round(n_samples)], [rng_seed], state)
-    return trace
 
 
 def _complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -511,7 +490,14 @@ def _clamp_prefix(lower: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class CoincidenceSelector:
-    """``select_coincidences`` over one click stream fed in chunks.
+    """Coincidence pairs of one click stream, fed in chunks.
+
+    Clicks split 50/50 onto detectors A and B, and each B click takes the
+    earliest pending A click before it with t_B - t_A <= window.  Consumed
+    clicks are not reused.  An accepted pair arms a dead time: the next pair's
+    first click must satisfy t1 >= previous t2 + dead_time (both clicks of
+    a blocked pair are discarded, as by a busy scope).  The labeling is the
+    only randomness, so the pairs are fixed by the seed.
 
     Each ``feed`` takes the next chunk of click times, labels each click
     with the next uniform draw of the one generator of ``rng_seed`` (a
@@ -548,9 +534,9 @@ class CoincidenceSelector:
         self._rng = np.random.default_rng(rng_seed)
 
     def feed(self, times: np.ndarray) -> np.ndarray:
-        """The (n, 2) pairs (t1, t2) accepted among the next chunk of click
-        times, which must be strictly increasing and later than every time
-        fed before."""
+        """The (n, 2) pairs (t1, t2), t2 - t1 > 0, accepted among the next
+        chunk of click times, which must be strictly increasing and later
+        than every time fed before; shape (0, 2) when no pair is accepted."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise OutOfRange("click times must be a 1-d array")
@@ -590,23 +576,3 @@ class CoincidenceSelector:
         self.pending_a = a[max(int(front[-1]) if b.size else 0, stale) :].copy()
         return np.column_stack([t1[kept], t2[kept]])
 
-
-def select_coincidences(
-    stream: ClickStream,
-    window: float,
-    dead_time: float = 500e-9,
-    rng_seed: int = 0,
-) -> np.ndarray:
-    """Split clicks 50/50 onto detectors A and B, then pair each A click
-    with the next B click when t_B - t_A <= window.
-
-    Consumed events are not reused.  An accepted pair arms a dead time:
-    the next pair's first click must satisfy t1 >= previous t2 + dead_time
-    (both clicks of a blocked pair are discarded, as by a busy scope).
-    Labeling is the only randomness; deterministic for a fixed seed.  The
-    one-chunk case of ``CoincidenceSelector``.
-
-    Returns an (n, 2) array of (t1, t2) rows, t2 - t1 > 0; shape (0, 2)
-    when no pair is accepted.
-    """
-    return CoincidenceSelector(window, dead_time, rng_seed).feed(stream.times)

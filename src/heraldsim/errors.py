@@ -41,10 +41,6 @@ class OutOfRange(HeraldSimError):
     """Scalar argument outside its documented domain."""
 
 
-class ExpansionInvalid(HeraldSimError):
-    """Small-delay expansion requested outside its validity region."""
-
-
 class UnsupportedSupport(HeraldSimError):
     """Photon distribution has weight above the supported Fock cutoff."""
 

@@ -196,10 +196,6 @@ class ExperimentConfig:
         return out
 
 
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_json_dict(), indent=2) + "\n")
-
-
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a config JSON; unknown keys (typos) and values whose type does
     not fit the field are rejected."""
@@ -363,9 +359,10 @@ def _click_chunks(config: ExperimentConfig, duration: float) -> tuple[Iterator[n
     arrays, before the next is filtered.  The generator yields each
     chunk's click times, offset to the chunk's start, while the helper
     thread draws the next chunk's noise.  The times are bit-identical to
-    calling ``synthesize_thermal_field`` and then ``sample_clicks`` per
-    chunk with the same seeds.  The duration is the whole field's; the spare seed
-    feeds the caller's next random step.
+    making each chunk alone, continuing the last one's ``FieldTrace.state``,
+    and thinning it in a fresh ``sample_clicks`` call with the same seeds.
+    The duration is the whole field's; the spare seed feeds the caller's
+    next random step.
     """
     dt_field = config.field_dt_ns * 1e-9
     _check_rate(config.mean_rate_hz, dt_field)  # refused before the first draw

@@ -107,13 +107,14 @@ class MultimodeState:
 
 
 def check_density(rho: np.ndarray) -> None:
+    # written so that NaN fails them
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-8:
+    if not abs(tr - 1.0) <= 1e-8:
         raise InvalidDensity(f"trace {tr} differs from 1")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
         raise InvalidDensity("matrix not Hermitian")
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals.min() < -1e-8:
+    if not evals.min() >= -1e-8:
         raise InvalidDensity(f"negative eigenvalue {evals.min():.3e}")
 
 

@@ -38,7 +38,6 @@ import math
 
 import numpy as np
 
-from .analytic import PhotonDistribution
 from .errors import (
     CutoffExceeded,
     EmptyInput,
@@ -47,7 +46,7 @@ from .errors import (
     ModesNotOrthogonal,
 )
 from .fock import check_density, photon_distribution
-from .modes import HeraldPair, ModeFunction, TimeGrid
+from .modes import HeraldPair, ModeFunction
 
 X_MAX = 8.0          # quadrature range [-X_MAX, X_MAX] covers all supported states
 GRID_1D = 2 ** 14    # nodes of the 1-d tabulated CDF
@@ -78,16 +77,6 @@ def fock_quadrature_pdf(n: int, x: np.ndarray | float) -> np.ndarray:
     return psi * psi
 
 
-def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
-    """Phase-independent quadrature density of a Fock-diagonal state."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for n, p in enumerate(dist.probs):
-        if p > 0.0:
-            out += p * fock_quadrature_pdf(n, x)
-    return out
-
-
 @functools.cache
 def _node_pdf(n: int) -> np.ndarray:
     """``fock_quadrature_pdf(n, nodes)`` on the GRID_1D CDF nodes, read-only.
@@ -100,10 +89,11 @@ def _node_pdf(n: int) -> np.ndarray:
 def _quadrature_draw(rho: np.ndarray, count: int, rng_seed: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
     """Checks and generator of a 1-d quadrature draw: (rng, cdf, nodes), with
     x = interp(u, cdf, nodes) for uniforms u on [0, 1) drawn from ``rng``
-    after ``count`` thetas.  The pdf on the nodes is ``mixture_pdf`` of the
-    state, bit for bit: the same tables summed in the same n order.  Every
-    reduction of a heralded pair state to one mode is diagonal; a
-    coherence of 1e-12 or more raises InvalidDensity."""
+    after ``count`` thetas.  The pdf on the nodes is that of the reference
+    ``mixture_pdf`` in tests/test_homodyne.py, bit for bit: the same
+    tables summed in the same n order.  Every reduction of a heralded pair
+    state to one mode is diagonal; a coherence of 1e-12 or more raises
+    InvalidDensity."""
     if count <= 0:
         raise EmptyInput(f"sample count must be positive, got {count}")
     rho = np.asarray(rho, dtype=complex)
@@ -251,14 +241,8 @@ def synthesize_trace_batch(
     return traces, joint[:, :2], joint[:, 2]
 
 
-def project_trace(traces: np.ndarray, xi: ModeFunction, grid: TimeGrid | None = None) -> np.ndarray:
-    """Project trace rows onto a normalized mode: sum(xi * trace) * dt.
-
-    ``grid``, when given, is the grid the traces were recorded on; it must
-    be the mode's.
-    """
-    if grid is not None and grid != xi.grid:
-        raise GridMismatch("trace and analysis mode on different grids")
+def project_trace(traces: np.ndarray, xi: ModeFunction) -> np.ndarray:
+    """Project trace rows onto a normalized mode: sum(xi * trace) * dt."""
     arr = np.asarray(traces, dtype=float)
     if arr.shape[-1] != xi.grid.n_samples:
         raise GridMismatch("trace length does not match analysis grid")

@@ -71,8 +71,8 @@ class MLConfig:
         for name, value, least in (("max_iters", self.max_iters, 1), ("n_bins", self.n_bins, 64)):
             if not value >= least:
                 raise OutOfRange(f"{name} must be at least {least}, got {value}")
-        if not self.tol > 0.0:
-            raise OutOfRange(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise OutOfRange(f"tol must be positive and finite, got {self.tol}")
 
 
 @dataclass(frozen=True)

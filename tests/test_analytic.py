@@ -1,4 +1,4 @@
-"""Closed-form photon statistics: two-photon weights, loss, expansions, g2.
+"""Closed-form photon statistics: two-photon weights, loss, small-delay law, g2.
 
 Reference constants were computed with mpmath at 50 digits; see
 scripts/compute_reference_values.py.
@@ -17,19 +17,15 @@ from heraldsim.analytic import (
     PhotonDistribution,
     apply_loss,
     fidelity_optimal,
-    fidelity_smalldelay_adapted,
-    fidelity_smalldelay_fixed,
     fixed_mode_distribution,
     g2_closed_form,
     two_photon_weight_lossy,
 )
-from heraldsim.errors import (
-    ExpansionInvalid,
-    InvalidGamma,
-    OutOfRange,
-    UnsupportedSupport,
-)
+from heraldsim.errors import HeraldSimError, OutOfRange, UnsupportedSupport
+from heraldsim.fock import photon_distribution
+from heraldsim.homodyne import sample_quadratures
 from heraldsim.modes import overlap_closed_form
+from heraldsim.tomo import MLConfig
 
 from conftest import ETA, GAMMA
 
@@ -136,24 +132,6 @@ class TestApplyLoss:
 
 
 class TestSmallDelayExpansions:
-    def test_values_at_x_01(self):
-        dt = 0.1 / (math.pi * GAMMA)
-        assert fidelity_smalldelay_adapted(dt, GAMMA) == pytest.approx(
-            1.0 - 6.25e-6, abs=1e-12
-        )
-        assert fidelity_smalldelay_fixed(dt, GAMMA) == pytest.approx(0.995, abs=1e-12)
-
-    def test_validity_guard(self):
-        dt = 0.51 / (math.pi * GAMMA)
-        with pytest.raises(ExpansionInvalid):
-            fidelity_smalldelay_adapted(dt, GAMMA)
-        with pytest.raises(ExpansionInvalid):
-            fidelity_smalldelay_fixed(dt, GAMMA)
-
-    def test_invalid_gamma(self):
-        with pytest.raises(InvalidGamma):
-            fidelity_smalldelay_adapted(1e-9, 0.0)
-
     @staticmethod
     def _correction_ratios(x: float) -> tuple[float, float]:
         """(exact correction)/(leading-order correction) for both modes."""
@@ -248,6 +226,22 @@ class TestParamTypes:
             PhotonDistribution(np.array([-0.1, 1.1]))
         with pytest.raises(OutOfRange):
             PhotonDistribution(np.array([]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PhotonDistribution(np.array([np.nan])),
+            lambda: PhotonDistribution(np.array([0.5, np.nan, 0.5])),
+            lambda: photon_distribution(np.array([[np.nan + 0j]])),
+            lambda: sample_quadratures(np.array([[np.nan + 0j]]), 5, 1),
+            lambda: MLConfig(tol=math.inf),
+        ],
+        ids=["lone_nan", "nan_inside", "nan_density", "nan_quadrature_state", "infinite_tol"],
+    )
+    def test_validators_reject_nan(self, build):
+        # each check is written so that NaN fails it
+        with pytest.raises(HeraldSimError):
+            build()
 
     def test_distribution_accessors(self):
         d = PhotonDistribution(np.array([0.2, 0.3, 0.5]))

@@ -27,8 +27,6 @@ from heraldsim.clicks import (
     g2_bin_edges,
     g2_histogram,
     sample_clicks,
-    select_coincidences,
-    synthesize_thermal_field,
     thermal_field_chunks,
 )
 from heraldsim.errors import (
@@ -82,14 +80,20 @@ def reference_clicks(field, mean_rate: float, rng_seed: int) -> np.ndarray:
     return times[keep]
 
 
+def field_chunk(samples: int, seed: int, dt_field: float = DT_FIELD, state=None, gamma: float = GAMMA):
+    """One chunk of ``thermal_field_chunks``, its noise from ``seed``."""
+    (chunk,) = thermal_field_chunks(gamma, dt_field, [samples], [seed], state)
+    return chunk
+
+
 @pytest.fixture(scope="module")
 def field():
-    return synthesize_thermal_field(GAMMA, 2e-4, DT_FIELD, rng_seed=101)
+    return field_chunk(400_000, 101)
 
 
 @pytest.fixture(scope="module")
 def click_field():
-    return synthesize_thermal_field(GAMMA, 2e-4, DT_FIELD, rng_seed=102)
+    return field_chunk(400_000, 102)
 
 
 class TestThermalField:
@@ -124,31 +128,26 @@ class TestThermalField:
             )
 
     def test_deterministic(self):
-        a = synthesize_thermal_field(GAMMA, 1e-5, DT_FIELD, rng_seed=7)
-        b = synthesize_thermal_field(GAMMA, 1e-5, DT_FIELD, rng_seed=7)
+        a = field_chunk(20_000, 7)
+        b = field_chunk(20_000, 7)
         np.testing.assert_array_equal(a.amplitude, b.amplitude)
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionTooCoarse):
-            synthesize_thermal_field(GAMMA, 1e-4, 1e-9, rng_seed=1)
+            field_chunk(100_000, 1, dt_field=1e-9)
 
     def test_duration_guard(self):
         with pytest.raises(DurationTooShort):
-            synthesize_thermal_field(GAMMA, 1e-6, DT_FIELD, rng_seed=1)
+            field_chunk(2_000, 1)
 
     def test_bad_gamma(self):
         with pytest.raises(OutOfRange):
-            synthesize_thermal_field(-1.0, 1e-4, DT_FIELD, rng_seed=1)
-
-    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -1e-4, 1e300])
-    def test_bad_duration(self, duration):
-        with pytest.raises(OutOfRange, match="duration"):
-            synthesize_thermal_field(GAMMA, duration, DT_FIELD, rng_seed=1)
+            field_chunk(200_000, 1, gamma=-1.0)
 
     @pytest.mark.parametrize("dt_field", [math.nan, math.inf, 0.0, -DT_FIELD])
     def test_bad_field_step(self, dt_field):
         with pytest.raises(OutOfRange, match="field step"):
-            synthesize_thermal_field(GAMMA, 1e-4, dt_field, rng_seed=1)
+            field_chunk(200_000, 1, dt_field=dt_field)
 
     @pytest.mark.parametrize("state", [None, (0j, 0j, 0j)], ids=["fresh", "continued"])
     @pytest.mark.parametrize("dt_field", [math.nan, math.inf, 0.0, -DT_FIELD])
@@ -210,7 +209,7 @@ class TestThermalField:
         sizes, seeds = (4001, 517, 1500, 2 * _SLAB + 3), (21, 22, 23, 24)
         state, parts = (e_prev, y_prev, x_prev), []
         for size, seed in zip(sizes, seeds):
-            field = synthesize_thermal_field(GAMMA, size * DT_FIELD, DT_FIELD, seed, state)
+            field = field_chunk(size, seed, state=state)
             state = field.state
             parts.append(field.amplitude)
         streamed = np.concatenate(parts)
@@ -233,7 +232,7 @@ class TestThermalField:
         # sample 0) and lag-1 covariance R_1
         dt = 1.0 / (20.0 * GAMMA)
         heads = np.array([
-            synthesize_thermal_field(GAMMA, 100.0 / GAMMA, dt, seed).amplitude[:8]
+            field_chunk(2_000, seed, dt_field=dt).amplitude[:8]
             for seed in range(1000)
         ])
         intensity = np.mean(np.abs(heads) ** 2, axis=0)
@@ -284,7 +283,7 @@ class TestSampleClicks:
         # each chunk's times are those of a fresh call and of the former
         # formula, bit for bit
         fields = [
-            synthesize_thermal_field(GAMMA, samples * DT_FIELD, DT_FIELD, rng_seed=seed)
+            field_chunk(samples, seed)
             for samples, seed in ((2**17, 131), (5_000, 132), (2**17 + 7, 133))
         ]
         work: dict = {}
@@ -303,7 +302,7 @@ class TestSampleClicks:
         # the peak is taken slab by slab and the rate gathered from the
         # amplitude, so no intensity copy spans the field
         n = 2**18
-        field = synthesize_thermal_field(GAMMA, n * DT_FIELD, DT_FIELD, rng_seed=134)
+        field = field_chunk(n, 134)
         work: dict = {}
         sample_clicks(field, 5e7, rng_seed=143, work=work)
         assert work and max(array.size for array in work.values()) < n
@@ -311,7 +310,7 @@ class TestSampleClicks:
 
 class TestG2Histogram:
     def test_thermal_bunching_curve(self):
-        field = synthesize_thermal_field(GAMMA, 4e-3, DT_FIELD, rng_seed=107)
+        field = field_chunk(8_000_000, 107)
         stream = sample_clicks(field, 5e7, rng_seed=108)
         hist = g2_histogram([stream.times], stream.duration, bin_width=0.5e-9, max_delay=60e-9)
         theory = g2_closed_form(hist.bin_centers, GAMMA)
@@ -451,29 +450,29 @@ class TestG2Counter:
 class TestSelectCoincidences:
     def test_empty_stream(self):
         empty = ClickStream(times=np.array([]), duration=1e-3)
-        assert select_coincidences(empty, window=65e-9).shape == (0, 2)
+        assert CoincidenceSelector(65e-9).feed(empty.times).shape == (0, 2)
 
     def test_window_guard(self):
         stream = poisson_stream(5e7, 1e-4, seed=112)
         with pytest.raises(OutOfRange):
-            select_coincidences(stream, window=0.0)
+            CoincidenceSelector(0.0).feed(stream.times)
         with pytest.raises(OutOfRange):
-            select_coincidences(stream, window=65e-9, dead_time=-1e-9)
+            CoincidenceSelector(65e-9, -1e-9).feed(stream.times)
 
     def test_nan_window_rejected(self):
         stream = poisson_stream(5e7, 1e-4, seed=112)
         with pytest.raises(OutOfRange):
-            select_coincidences(stream, window=math.nan)
+            CoincidenceSelector(math.nan).feed(stream.times)
 
     def test_nan_dead_time_rejected(self):
         stream = poisson_stream(5e7, 1e-4, seed=112)
         with pytest.raises(OutOfRange):
-            select_coincidences(stream, window=65e-9, dead_time=math.nan)
+            CoincidenceSelector(65e-9, math.nan).feed(stream.times)
 
     def test_pair_invariants(self):
         stream = poisson_stream(5e7, 2e-3, seed=113)
         window, dead = 65e-9, 500e-9
-        pairs = select_coincidences(stream, window=window, dead_time=dead)
+        pairs = CoincidenceSelector(window, dead).feed(stream.times)
         assert pairs.ndim == 2 and pairs.shape[1] == 2
         assert len(pairs) > 100
         t1, t2 = pairs[:, 0], pairs[:, 1]
@@ -482,28 +481,28 @@ class TestSelectCoincidences:
 
     def test_deterministic(self):
         stream = poisson_stream(5e7, 5e-4, seed=114)
-        a = select_coincidences(stream, window=65e-9, rng_seed=9)
-        b = select_coincidences(stream, window=65e-9, rng_seed=9)
+        a = CoincidenceSelector(65e-9, rng_seed=9).feed(stream.times)
+        b = CoincidenceSelector(65e-9, rng_seed=9).feed(stream.times)
         np.testing.assert_array_equal(a, b)
 
     def test_bunching_shortens_delays(self):
         # thermal pairs crowd toward zero delay; Poisson pairs do not
-        field = synthesize_thermal_field(GAMMA, 4e-3, DT_FIELD, rng_seed=115)
+        field = field_chunk(8_000_000, 115)
         thermal = sample_clicks(field, 1e7, rng_seed=116)
         control = poisson_stream(len(thermal) / thermal.duration, 4e-3, seed=117)
         window = 6e-9
-        dt_th = np.diff(select_coincidences(thermal, window, dead_time=0.0), axis=1).ravel()
-        dt_po = np.diff(select_coincidences(control, window, dead_time=0.0), axis=1).ravel()
+        dt_th = np.diff(CoincidenceSelector(window, 0.0).feed(thermal.times), axis=1).ravel()
+        dt_po = np.diff(CoincidenceSelector(window, 0.0).feed(control.times), axis=1).ravel()
         assert len(dt_th) > 300 and len(dt_po) > 300
         assert np.mean(dt_po) == pytest.approx(window / 2.0, abs=0.4e-9)
         assert np.mean(dt_th) < np.mean(dt_po) - 0.2e-9
 
     def test_half_window_ratio_tracks_g2(self):
         # counts in [0, w/2] vs [w/2, w] follow the g2 integral ratio
-        field = synthesize_thermal_field(GAMMA, 4e-3, DT_FIELD, rng_seed=118)
+        field = field_chunk(8_000_000, 118)
         stream = sample_clicks(field, 1e7, rng_seed=119)
         window = 6e-9
-        pairs = select_coincidences(stream, window, dead_time=0.0)
+        pairs = CoincidenceSelector(window, 0.0).feed(stream.times)
         delays = pairs[:, 1] - pairs[:, 0]
         near = int(np.sum(delays <= window / 2))
         far = int(np.sum(delays > window / 2))
@@ -541,7 +540,7 @@ def reference_pairs(times: np.ndarray, is_a: np.ndarray, window: float, dead_tim
 
 
 def drawn_labels(n: int, rng_seed: int) -> np.ndarray:
-    """The A labels ``select_coincidences`` draws for n clicks."""
+    """The A labels ``CoincidenceSelector`` draws for n clicks fed at once."""
     return np.random.default_rng(rng_seed).uniform(0.0, 1.0, size=n) < 0.5
 
 
@@ -581,14 +580,13 @@ class TestCoincidenceSelector:
         selector = CoincidenceSelector(window, dead_time, rng_seed)
         got = [selector.feed(times[lo:hi]) for lo, hi in chunks]
         assert np.concatenate(got).tobytes() == want.tobytes()
-        stream = ClickStream(times=times, duration=times[-1] + 1.0 if times.size else 1.0)
-        one = select_coincidences(stream, window, dead_time, rng_seed)
+        one = CoincidenceSelector(window, dead_time, rng_seed).feed(times)
         assert one.shape == want.shape and one.tobytes() == want.tobytes()
 
     def test_thermal_stream_in_chunks_matches_the_reference_loop(self):
         # long runs of pending A clicks, windows across chunk bounds, and
         # the default window and dead time at real click times
-        field = synthesize_thermal_field(GAMMA, 1e-3, DT_FIELD, rng_seed=120)
+        field = field_chunk(2_000_000, 120)
         times = sample_clicks(field, 5e7, rng_seed=121).times
         for window, dead_time in [(65e-9, 500e-9), (65e-9, 0.0), (1e-6, 0.0)]:
             want = reference_pairs(times, drawn_labels(times.size, 122), window, dead_time)

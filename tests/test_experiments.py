@@ -29,7 +29,7 @@ import heraldsim
 from heraldsim.analytic import PhotonDistribution, g2_closed_form, two_photon_weight_lossy
 from heraldsim import clicks, experiments, tomo
 from heraldsim.cli import main
-from heraldsim.clicks import sample_clicks, synthesize_thermal_field
+from heraldsim.clicks import sample_clicks, thermal_field_chunks
 from heraldsim.errors import (
     CutoffExceeded,
     DurationTooShort,
@@ -52,7 +52,6 @@ from heraldsim.experiments import (
     run_fixed_mode_sweep,
     run_fock_panels,
     run_g2,
-    save_config,
 )
 from heraldsim.fock import photon_distribution, reduce_to_mode
 from heraldsim.homodyne import quadrature_values, sample_quadratures
@@ -118,7 +117,7 @@ def write_sample_csv(path, count=5000, seed=301):
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
-        save_config(TINY, path)
+        path.write_text(json.dumps(TINY.to_json_dict()))
         assert load_config(path) == TINY
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -447,7 +446,7 @@ class TestClickStream:
         state, times = None, []
         for k in range(n_chunks):
             size = bounds[k + 1] - bounds[k]
-            field = synthesize_thermal_field(TINY.gamma_hz, size * dt, dt, seeds[2 * k], state)
+            (field,) = thermal_field_chunks(TINY.gamma_hz, dt, [size], [seeds[2 * k]], state)
             state = field.state
             clicks = sample_clicks(field, TINY.mean_rate_hz, seeds[2 * k + 1])
             times.append(clicks.times + bounds[k] * dt)
@@ -798,7 +797,7 @@ class TestCli:
     def config_file(tmp_path, **overrides):
         cfg = dataclasses.replace(TINY, delays_ns=(0.0,), samples_per_point=1500, **overrides)
         path = tmp_path / "config.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_json_dict()))
         return path, cfg
 
     def test_sweep_delay_success(self, tmp_path, capsys):

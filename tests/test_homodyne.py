@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
 
 import heraldsim
 from heraldsim.analytic import PhotonDistribution
@@ -36,7 +35,6 @@ from heraldsim.homodyne import (
     fock_quadrature_pdf,
     hermite_function,
     joint_sample_two_modes,
-    mixture_pdf,
     photon_distribution,
     project_trace,
     quadrature_values,
@@ -68,6 +66,17 @@ def vacuum_two_mode(n_max: int = 2) -> np.ndarray:
     rho = np.zeros((d * d, d * d), dtype=complex)
     rho[0, 0] = 1.0
     return rho
+
+
+def mixture_pdf(dist: PhotonDistribution, x: np.ndarray | float) -> np.ndarray:
+    """Phase-independent quadrature density of a Fock-diagonal state: the
+    reference that ``_quadrature_draw``'s node pdf equals bit for bit."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for n, p in enumerate(dist.probs):
+        if p > 0.0:
+            out += p * fock_quadrature_pdf(n, x)
+    return out
 
 
 def ks_statistic(samples: np.ndarray, dist: PhotonDistribution) -> float:
@@ -328,15 +337,15 @@ class TestTraceSynthesis:
     def test_projection_round_trip(self, scene):
         g1, g2, f1, f2, rho2, herald = scene
         traces, quads, thetas = synthesize_trace_batch(rho2, f1, f2, herald, 64, rng_seed=31)
-        np.testing.assert_allclose(project_trace(traces, f1, grid=f1.grid), quads[:, 0], atol=1e-9)
-        np.testing.assert_allclose(project_trace(traces, f2, grid=f2.grid), quads[:, 1], atol=1e-9)
+        np.testing.assert_allclose(project_trace(traces, f1), quads[:, 0], atol=1e-9)
+        np.testing.assert_allclose(project_trace(traces, f2), quads[:, 1], atol=1e-9)
 
     def test_projection_linear_in_mode(self, scene):
         g1, g2, f1, f2, rho2, herald = scene
         traces, quads, _ = synthesize_trace_batch(rho2, f1, f2, herald, 16, rng_seed=32)
         c1, c2 = overlap(g1, f1), overlap(g1, f2)
         np.testing.assert_allclose(
-            project_trace(traces, g1, grid=g1.grid),
+            project_trace(traces, g1),
             c1 * quads[:, 0] + c2 * quads[:, 1],
             atol=1e-9,
         )
@@ -347,7 +356,7 @@ class TestTraceSynthesis:
         vals = []
         for k in range(4):  # chunks keep memory bounded
             traces, *_ = synthesize_trace_batch(rho2, f1, f2, herald, 2000, rng_seed=300 + k)
-            vals.append(project_trace(traces, spectator, grid=grid))
+            vals.append(project_trace(traces, spectator))
         v = np.concatenate(vals)
         assert np.var(v) == pytest.approx(0.5, abs=0.03)
         assert np.mean(v) == pytest.approx(0.0, abs=0.03)
@@ -371,14 +380,12 @@ class TestTraceSynthesis:
         dt = f1.grid.dt
         assert np.var(traces) == pytest.approx(1.0 / (2.0 * dt), rel=0.05)
 
-    def test_projection_grid_guard(self, grid, scene):
+    def test_projection_grid_guard(self, scene):
         g1, g2, f1, f2, rho2, herald = scene
         traces, *_ = synthesize_trace_batch(rho2, f1, f2, herald, 2, rng_seed=37)
         from heraldsim.modes import default_grid
 
         other = default_grid(dt=0.2e-9)
-        with pytest.raises(GridMismatch):
-            project_trace(traces, f1, grid=other)
         with pytest.raises(GridMismatch):
             project_trace(traces[:, :-1], f1)
         with pytest.raises(GridMismatch):
