@@ -238,7 +238,7 @@ class TestParamTypes:
         ],
         ids=["lone_nan", "nan_inside", "nan_density", "nan_quadrature_state", "infinite_tol"],
     )
-    def test_validators_reject_nan(self, build):
+    def test_validators_reject_non_finite(self, build):
         # each check is written so that NaN fails it
         with pytest.raises(HeraldSimError):
             build()

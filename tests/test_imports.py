@@ -22,7 +22,7 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
@@ -32,7 +32,7 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
 
 
 def test_unused_imports_are_found():
-    source = "import os\nimport numpy.linalg\nfrom a import b as c, d\n__all__ = ['d']\nnumpy.pi\n"
+    source = "import os\nimport numpy.linalg\nfrom a import b as c, d\n__all__ = ['d']\nnumpy.pi\nos = 1\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
 
 
